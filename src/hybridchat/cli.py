@@ -18,31 +18,30 @@ import sys
 import numpy as np
 
 from .generation import GeneratorModel, beam_search, train_generator
-from .metrics import evaluate_run
+from .metrics import count_picks, evaluate_run
 from .pipeline import (
     PipelineConfig,
     ablation_table_json,
     chat,
     default_config_text,
     encode_corpus,
+    pools_to_triples,
     prepare_artifacts,
     read_candidates_jsonl,
     run_ablation,
     run_pipeline,
 )
-from .ranking import (
-    RankerModel,
-    SupervisionConfig,
-    TrainingTriple,
-    make_distant_labels,
-    make_training_triples,
-    rerank,
-    train_ranker,
-)
+from .ranking import RankerModel, SupervisionConfig, TrainingTriple, rerank, train_ranker
 from .retrieval import RepositoryIndex, build_index, retrieve
-from .textcore import Vocabulary, decode, encode, load_corpus, save_corpus, tokenize
-
-logger = logging.getLogger(__name__)
+from .textcore import (
+    Vocabulary,
+    decode,
+    encode,
+    load_corpus,
+    read_jsonl,
+    save_corpus,
+    tokenize,
+)
 
 
 def _sibling_vocab(path: str, explicit: str | None) -> Vocabulary:
@@ -50,17 +49,8 @@ def _sibling_vocab(path: str, explicit: str | None) -> Vocabulary:
     return Vocabulary.load(vocab_path)
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-    return rows
+def _read_jsonl(path: str, names: tuple[str, ...]) -> list[dict]:
+    return [obj for _, obj in read_jsonl(path, names)]
 
 
 def cmd_init_config(args) -> int:
@@ -114,7 +104,8 @@ def cmd_train_generator(args) -> int:
     cfg = PipelineConfig.from_file(args.config)
     if args.corpus:
         cfg.train_corpus = os.path.abspath(args.corpus)
-    cfg.gen_facts = args.facts == "on"
+    if args.facts is not None:
+        cfg.gen_facts = args.facts == "on"
     train = load_corpus(cfg.train_corpus, "train")
     valid = load_corpus(cfg.valid_corpus, "valid") if os.path.exists(cfg.valid_corpus) else train
     vocab = Vocabulary.build(train, cfg.vocab_max_size, cfg.vocab_min_count)
@@ -138,7 +129,7 @@ def cmd_train_generator(args) -> int:
 def cmd_generate(args) -> int:
     model = GeneratorModel.load(args.ckpt)
     vocab = _sibling_vocab(args.ckpt, args.vocab)
-    rows = _read_jsonl(args.input)
+    rows = _read_jsonl(args.input, ("context",))
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in rows:
             ctx = encode(tokenize(row["context"]), vocab, max_len=args.max_len)
@@ -157,31 +148,23 @@ def cmd_generate(args) -> int:
 
 def cmd_label(args) -> int:
     pools = read_candidates_jsonl(args.candidates)
-    sup = SupervisionConfig(signal=args.signal, k_prime=args.kprime)
-    n_written = 0
+    if any(pool.ground_truth is None for pool in pools):
+        raise ValueError("labeling requires ground_truth on every candidate line")
+    triples = pools_to_triples(pools, SupervisionConfig(signal=args.signal, k_prime=args.kprime))
     with open(args.out, "w", encoding="utf-8") as fh:
-        for pool in pools:
-            if pool.ground_truth is None:
-                raise ValueError("labeling requires ground_truth on every candidate line")
-            if len(pool.candidates) <= sup.k_prime:
-                logger.warning("pool for %r too small; skipped", " ".join(pool.context))
-                continue
-            pos, neg = make_distant_labels(pool, pool.ground_truth, sup)
-            for t in make_training_triples(pool.context, pool.ground_truth, pos, neg,
-                                           sup.k_prime):
-                fh.write(json.dumps({
-                    "context": " ".join(t.context),
-                    "positive": " ".join(t.positive),
-                    "negative": " ".join(t.negative),
-                }) + "\n")
-                n_written += 1
-    print(f"wrote {n_written} training triples -> {args.out}")
+        for t in triples:
+            fh.write(json.dumps({
+                "context": " ".join(t.context),
+                "positive": " ".join(t.positive),
+                "negative": " ".join(t.negative),
+            }) + "\n")
+    print(f"wrote {len(triples)} training triples -> {args.out}")
     return 0
 
 
 def cmd_train_ranker(args) -> int:
     cfg = PipelineConfig.from_file(args.config)
-    rows = _read_jsonl(args.triples)
+    rows = _read_jsonl(args.triples, ("context", "positive", "negative"))
     triples = [TrainingTriple(tokenize(r["context"]), tokenize(r["positive"]),
                               tokenize(r["negative"])) for r in rows]
     vocab = _sibling_vocab(args.out, args.vocab)
@@ -200,17 +183,12 @@ def cmd_rerank(args) -> int:
     model = RankerModel.load(args.ckpt)
     vocab = _sibling_vocab(args.ckpt, args.vocab)
     pools = read_candidates_jsonl(args.candidates)
-    stats = {"picked_gen": 0, "picked_ret": 0, "picked_top1_bm25": 0, "n": len(pools)}
+    picks = []
     with open(args.out, "w", encoding="utf-8") as fh:
         for pool in pools:
             result = rerank(model, vocab, pool)
             top = result.chosen
-            if top.provenance == "generated":
-                stats["picked_gen"] += 1
-            else:
-                stats["picked_ret"] += 1
-                if top.rank == 1:
-                    stats["picked_top1_bm25"] += 1
+            picks.append((top.provenance, top.rank))
             fh.write(json.dumps({
                 "context": " ".join(pool.context),
                 "chosen": " ".join(top.tokens),
@@ -220,14 +198,14 @@ def cmd_rerank(args) -> int:
             }) + "\n")
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, indent=2)
+            json.dump({**count_picks(picks), "n": len(pools)}, fh, indent=2)
     print(f"re-ranked {len(pools)} pools -> {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    hyp = [tokenize(r["response"]) for r in _read_jsonl(args.hyp)]
-    ref = [tokenize(r["response"]) for r in _read_jsonl(args.ref)]
+    hyp = [tokenize(r["response"]) for r in _read_jsonl(args.hyp, ("response",))]
+    ref = [tokenize(r["response"]) for r in _read_jsonl(args.ref, ("response",))]
     report = evaluate_run(hyp, ref)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -304,22 +282,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="query an index (stdin lines or --query)")
     p.add_argument("--index", required=True)
-    p.add_argument("--k", type=int, default=9)
+    p.add_argument("--k", type=int, default=PipelineConfig.retrieval_k)
     p.add_argument("--query")
     p.set_defaults(fn=cmd_retrieve)
 
     p = sub.add_parser("train-generator", help="train the seq2seq generator")
     p.add_argument("--config", required=True)
     p.add_argument("--corpus", help="override the config's training corpus")
-    p.add_argument("--facts", choices=("on", "off"), default="on")
+    p.add_argument("--facts", choices=("on", "off"),
+                   help="override the config's [generator] facts")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_generator)
 
     p = sub.add_parser("generate", help="beam-generate responses for a JSONL of contexts")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", help="vocabulary file (default: vocab.txt next to ckpt)")
-    p.add_argument("--beam", type=int, default=10)
-    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--beam", type=int, default=PipelineConfig.beam_size)
+    p.add_argument("--max-len", type=int, default=PipelineConfig.max_len)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_generate)
@@ -327,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="distant-supervision labels -> training triples")
     p.add_argument("--candidates", required=True)
     p.add_argument("--signal", choices=("bleu1", "bleu2", "rougel", "sentbleu"),
-                   default="bleu1")
-    p.add_argument("--kprime", type=int, default=3)
+                   default=PipelineConfig.signal)
+    p.add_argument("--kprime", type=int, default=PipelineConfig.k_prime)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_label)
 

@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import nncore
 from .nncore import autodiff as ad
 from .nncore import (
     Adam,
@@ -45,65 +44,36 @@ NEG_INF = -1e30
 
 @dataclass
 class GeneratorConfig:
+    """Model shape; pipeline.PipelineConfig holds the defaults of every field."""
+
     vocab_size: int
-    embedding_size: int = 256
-    hidden_size: int = 256
-    num_layers: int = 2
-    use_facts: bool = True
-    dropout: float = 0.3
-    max_len: int = 30
-
-    @classmethod
-    def profile(cls, name: str, vocab_size: int) -> "GeneratorConfig":
-        """Named hyperparameter profiles.
-
-        seq2seq / seq2seq-facts carry the full training-scale defaults
-        (512/512 and 256/256, two LSTM layers, dropout 0.3); desk /
-        desk-facts scale down to 64/64 with dropout off for fast tests.
-        """
-        if name == "seq2seq":
-            return cls(vocab_size, embedding_size=512, hidden_size=512, use_facts=False)
-        if name == "seq2seq-facts":
-            return cls(vocab_size, embedding_size=256, hidden_size=256, use_facts=True)
-        if name == "desk":
-            return cls(vocab_size, embedding_size=64, hidden_size=64, use_facts=False,
-                       dropout=0.0)
-        if name == "desk-facts":
-            return cls(vocab_size, embedding_size=64, hidden_size=64, use_facts=True,
-                       dropout=0.0)
-        raise ValueError(f"unknown generator profile {name!r}")
+    embedding_size: int
+    hidden_size: int
+    num_layers: int
+    use_facts: bool
+    dropout: float
+    max_len: int
 
 
 @dataclass
 class GeneratorTrainConfig:
-    learning_rate: float = 1e-3
-    lr_decay: float = 0.5
-    validate_every: int = 5000
-    patience: int = 10
-    batch_size: int = 500
-    max_steps: int = 100_000
+    learning_rate: float
+    lr_decay: float
+    validate_every: int
+    patience: int
+    batch_size: int
+    max_steps: int
     clip_norm: float = 5.0
     seed: int = 0
     target_ppl: float | None = None
-
-    @classmethod
-    def profile(cls, name: str) -> "GeneratorTrainConfig":
-        if name == "seq2seq":
-            return cls(learning_rate=1e-4, validate_every=10_000)
-        if name == "seq2seq-facts":
-            return cls(learning_rate=1e-3, validate_every=5_000)
-        if name in ("desk", "desk-facts"):
-            return cls(learning_rate=3e-3, validate_every=100, batch_size=25,
-                       max_steps=2_000)
-        raise ValueError(f"unknown generator profile {name!r}")
 
 
 class GeneratorModel(Model):
     """Embeddings, both encoders, decoder, bridge, and output projection.
 
     The facts encoder is always allocated (checkpoints stay layout-stable
-    across profiles) but is only exercised when config.use_facts is set and
-    an example actually carries facts.
+    whether or not facts are used) but is only exercised when
+    config.use_facts is set and an example actually carries facts.
     """
 
     def __init__(self, config: GeneratorConfig, rng: np.random.Generator,
@@ -140,25 +110,6 @@ class GeneratorModel(Model):
         for name, p in model.params.items():
             p.data[...] = blob["params"][name]
         return model
-
-
-@dataclass
-class EncodedContext:
-    """Top-layer hidden vectors h_1..h_L and the final hidden state."""
-
-    hidden: np.ndarray      # (L, H)
-    final: np.ndarray       # (H,)
-
-
-@dataclass
-class FactsSummary:
-    """One mean-pooled vector per fact; empty array when no facts."""
-
-    vectors: np.ndarray     # (F, H)
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
 
 
 # -- batched graph forward ----------------------------------------------------
@@ -332,72 +283,6 @@ def nll_loss(model: GeneratorModel, batch: EncodedBatch, training: bool = False,
     return total * (1.0 / B), batch.n_target_tokens
 
 
-# -- single-example operations -------------------------------------------------
-
-
-def encode_context(model: GeneratorModel, ctx_ids: list[int]) -> EncodedContext:
-    """Run the context encoder left to right over one id sequence."""
-    if not ctx_ids:
-        raise ValueError("cannot encode an empty context")
-    ids = np.asarray([ctx_ids], dtype=np.int64)
-    mask = np.ones_like(ids, dtype=np.float64)
-    with no_grad():
-        tops, final = _run_encoder(model, model.encoder, ids, mask, carry=True)
-        hidden = np.stack([t.data[0] for t in tops], axis=0)
-    return EncodedContext(hidden=hidden, final=final.data[0].copy())
-
-
-def encode_facts(model: GeneratorModel, facts_ids: list[list[int]]) -> FactsSummary:
-    """Mean-pool each fact's hidden sequence; empty facts are skipped with a warning."""
-    H = model.config.hidden_size
-    kept = []
-    for i, f in enumerate(facts_ids):
-        if len(f) == 0:
-            logger.warning("skipping empty fact %d of %d", i + 1, len(facts_ids))
-            continue
-        kept.append(f)
-    if not kept:
-        return FactsSummary(np.zeros((0, H)))
-    lf = max(len(f) for f in kept)
-    ids = np.full((1, len(kept), lf), PAD_ID, dtype=np.int64)
-    mask = np.zeros((1, len(kept), lf))
-    for i, f in enumerate(kept):
-        ids[0, i, : len(f)] = f
-        mask[0, i, : len(f)] = 1.0
-    with no_grad():
-        fbar, _ = _fact_vectors(model, ids, mask)
-    return FactsSummary(fbar.data[0].copy())
-
-
-def attention_step(e_matrix: np.ndarray, s_prev: np.ndarray):
-    """One attention evaluation on plain arrays: weights, context, tanh features.
-
-    e_matrix has shape (H, L+F) — one column per context hidden or fact
-    vector; s_prev is the (H,) query state.
-    """
-    e_matrix = np.asarray(e_matrix, dtype=np.float64)
-    if e_matrix.ndim != 2 or e_matrix.shape[1] == 0:
-        raise ValueError("attention needs at least one column to attend over")
-    weights = nncore.softmax(e_matrix.T @ s_prev)
-    context = e_matrix @ weights
-    features = np.tanh(np.concatenate([s_prev, context]))
-    return weights, context, features
-
-
-def decoder_init(model: GeneratorModel, encoded: EncodedContext,
-                 facts: FactsSummary) -> np.ndarray:
-    """Initial decoder state: bridge(tanh(h_last + mean of fact vectors)).
-
-    The fact term is the zero vector when there are no facts.
-    """
-    summary = encoded.final.copy()
-    if facts.count > 0:
-        summary = summary + facts.vectors.mean(axis=0)
-    with no_grad():
-        s0 = model.bridge(ad.tanh(Tensor(summary[None, :])))
-    return s0.data[0].copy()
-
-
 @dataclass
 class DecoderState:
     """Stacked decoder LSTM states plus the cached attention context."""
@@ -462,14 +347,6 @@ class DecodingSession:
         return probs.data, new_state
 
 
-def decode_step(session: DecodingSession, state: DecoderState, y_prev: int):
-    """Single-hypothesis step: returns (distribution over the vocab, new state)."""
-    if not 0 <= y_prev < session.model.config.vocab_size:
-        raise ValueError(f"invalid token id {y_prev}")
-    probs, new_state = session.step(state, np.asarray([y_prev]))
-    return probs[0], new_state
-
-
 @dataclass
 class Hypothesis:
     tokens: tuple
@@ -481,9 +358,8 @@ class Hypothesis:
         return self.log_likelihood / self.length
 
 
-def beam_search(model: GeneratorModel, ctx_ids: list[int],
-                facts_ids: list[list[int]] | None = None,
-                beam_size: int = 10, max_len: int = 30) -> list[tuple[list[int], float]]:
+def beam_search(model: GeneratorModel, ctx_ids: list[int], facts_ids: list[list[int]] | None,
+                beam_size: int, max_len: int) -> list[tuple[list[int], float]]:
     """Length-normalized beam search.
 
     Expands breadth-first keeping the beam_size best unfinished hypotheses
@@ -535,12 +411,6 @@ def beam_search(model: GeneratorModel, ctx_ids: list[int],
             finished.append(Hypothesis(toks, float(ll), len(toks)))
     ranked = sorted(finished, key=lambda h: (-h.score, h.tokens))
     return [(list(h.tokens), h.score) for h in ranked]
-
-
-def greedy_decode(model: GeneratorModel, ctx_ids: list[int],
-                  facts_ids: list[list[int]] | None = None,
-                  max_len: int = 30) -> list[int]:
-    return beam_search(model, ctx_ids, facts_ids, beam_size=1, max_len=max_len)[0][0]
 
 
 # -- training -------------------------------------------------------------------

@@ -179,6 +179,21 @@ class MetricReport:
         }
 
 
+def count_picks(provenance: list[tuple[str, int]]) -> dict[str, int]:
+    """Selection statistics of (kind, retrieval_rank) pairs, keyed as in MetricReport."""
+    counts = {"picked_gen": 0, "picked_ret": 0, "picked_top1_bm25": 0}
+    for kind, rank in provenance:
+        if kind == GENERATED:
+            counts["picked_gen"] += 1
+        elif kind == RETRIEVED:
+            counts["picked_ret"] += 1
+            if rank == 1:
+                counts["picked_top1_bm25"] += 1
+        else:
+            raise ValueError(f"unknown provenance kind {kind!r}")
+    return counts
+
+
 def evaluate_run(
     outputs: list[list[str]],
     references: list[list[str]],
@@ -193,6 +208,7 @@ def evaluate_run(
         raise ValueError(f"{len(outputs)} outputs vs {len(references)} references")
     if provenance is not None and len(provenance) != len(outputs):
         raise ValueError("provenance log length does not match outputs")
+    picks = count_picks(provenance) if provenance is not None else {}
     per_rouge = [rouge_l(c, r) for c, r in zip(outputs, references)]
     report = MetricReport(
         bleu=100.0 * corpus_bleu(outputs, references, max_n=4),
@@ -200,18 +216,9 @@ def evaluate_run(
         distinct1=distinct_n(outputs, 1),
         distinct2=distinct_n(outputs, 2),
         n_examples=len(outputs),
+        selection_recorded=provenance is not None,
         per_example_rouge=per_rouge,
+        **picks,
     )
-    if provenance is not None:
-        report.selection_recorded = True
-        for kind, rank in provenance:
-            if kind == GENERATED:
-                report.picked_gen += 1
-            elif kind == RETRIEVED:
-                report.picked_ret += 1
-                if rank == 1:
-                    report.picked_top1_bm25 += 1
-            else:
-                raise ValueError(f"unknown provenance kind {kind!r}")
     report.validate()
     return report

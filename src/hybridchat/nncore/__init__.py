@@ -11,8 +11,6 @@ from .layers import (
     init_uniform,
     load_pretrained_embeddings,
     lstm_step,
-    masked_carry,
-    softmax,
 )
 from .optim import Adam, clip_global_norm, grad_check
 
@@ -32,8 +30,6 @@ __all__ = [
     "load_checkpoint",
     "load_pretrained_embeddings",
     "lstm_step",
-    "masked_carry",
     "no_grad",
     "save_checkpoint",
-    "softmax",
 ]

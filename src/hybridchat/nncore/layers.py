@@ -18,21 +18,11 @@ def init_uniform(rng: np.random.Generator, shape, scale: float = INIT_SCALE, dty
     return rng.uniform(-scale, scale, size=shape).astype(dtype)
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Stable softmax of a plain vector (or along the last axis of an array)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("softmax of an empty vector")
-    z = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class Model:
     """Base class holding a name->Parameter registry.
 
-    Training owns a model exclusively (updates mutate parameter arrays in
-    place); forward-only use of a frozen model is safe from multiple threads.
+    Training owns a model exclusively: updates mutate parameter arrays in
+    place.
     """
 
     def __init__(self):
@@ -48,9 +38,6 @@ class Model:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-    def num_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
     def set_zero(self) -> None:
         """Zero every parameter in place (degenerate-model tests)."""
@@ -89,22 +76,12 @@ class LstmCell:
         return Tensor(z), Tensor(z.copy())
 
 
-def lstm_step(cell: LstmCell, x, h_prev, c_prev) -> tuple[Tensor, Tensor]:
-    """One step of the standard four-gate LSTM.
+def lstm_step(cell: LstmCell, x: Tensor, h_prev: Tensor,
+              c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """One step of the standard four-gate LSTM on (B, n_in)/(B, H) tensors.
 
-    Accepts (B, n_in)/(B, H) tensors or bare 1-D arrays (promoted to a
-    batch of one and squeezed back).  Raises on dimension mismatch.
+    Raises on dimension mismatch.
     """
-    squeeze = False
-    if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x, dtype=np.float64))
-    if not isinstance(h_prev, Tensor):
-        h_prev = Tensor(np.asarray(h_prev, dtype=np.float64))
-    if not isinstance(c_prev, Tensor):
-        c_prev = Tensor(np.asarray(c_prev, dtype=np.float64))
-    if x.ndim == 1:
-        x, h_prev, c_prev = ad.reshape(x, (1, -1)), ad.reshape(h_prev, (1, -1)), ad.reshape(c_prev, (1, -1))
-        squeeze = True
     H = cell.n_hidden
     if x.shape[1] != cell.n_in:
         raise ValueError(f"lstm_step: input size {x.shape[1]} != cell input size {cell.n_in}")
@@ -117,8 +94,6 @@ def lstm_step(cell: LstmCell, x, h_prev, c_prev) -> tuple[Tensor, Tensor]:
     o = ad.sigmoid(ad.narrow(gates, 1, 3 * H, H))
     c = f * c_prev + i * g
     h = o * ad.tanh(c)
-    if squeeze:
-        h, c = ad.reshape(h, (-1,)), ad.reshape(c, (-1,))
     return h, c
 
 
@@ -153,12 +128,6 @@ class StackedLstm:
             if layer + 1 < len(self.cells) and dropout_rate > 0.0 and training:
                 inp = ad.dropout(inp, dropout_rate, rng, training=True)
         return new_states[-1][0], new_states
-
-
-def masked_carry(new: Tensor, old: Tensor, mask_col: np.ndarray) -> Tensor:
-    """Blend new/old states by a (B, 1) 0/1 mask so padded steps hold their state."""
-    m = Tensor(mask_col)
-    return new * m + old * Tensor(1.0 - mask_col)
 
 
 def load_pretrained_embeddings(

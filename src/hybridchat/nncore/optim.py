@@ -17,7 +17,7 @@ class Adam:
     parameter) and verifies parameters stay finite after each step.
     """
 
-    def __init__(self, params: dict[str, Parameter], lr: float = 1e-4,
+    def __init__(self, params: dict[str, Parameter], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
@@ -79,7 +79,7 @@ class EarlyStopping:
     validations request a stop.
     """
 
-    def __init__(self, patience: int = 10, decay: float = 0.5):
+    def __init__(self, patience: int, decay: float):
         self.patience = patience
         self.decay = decay
         self.best = float("inf")

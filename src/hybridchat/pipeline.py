@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,51 +43,19 @@ from .ranking import (
     rerank,
     train_ranker,
 )
-from .retrieval import RepositoryIndex, build_index, retrieve
-from .textcore import Corpus, Vocabulary, decode, encode, load_corpus, tokenize
+from .retrieval import DEFAULT_B, DEFAULT_K, DEFAULT_K1, RepositoryIndex, build_index, retrieve
+from .textcore import (
+    Corpus,
+    Vocabulary,
+    check_fields,
+    decode,
+    encode,
+    load_corpus,
+    read_jsonl,
+    tokenize,
+)
 
 logger = logging.getLogger(__name__)
-
-FULL_DEFAULTS = {
-    "paths": {
-        "train_corpus": "data/train.jsonl",
-        "valid_corpus": "data/valid.jsonl",
-        "test_corpus": "data/test.jsonl",
-        "workdir": "work",
-    },
-    "vocab": {"max_size": "20000", "min_count": "1"},
-    "generator": {
-        "facts": "on",
-        "embedding_size": "256",
-        "hidden_size": "256",
-        "lstm_layers": "2",
-        "dropout": "0.3",
-        "learning_rate": "0.001",
-        "learning_rate_decay": "0.5",
-        "steps_between_validation": "5000",
-        "early_stopping_patience": "10",
-        "batch_size": "500",
-        "max_steps": "100000",
-    },
-    "retrieval": {"k": "9", "bm25_k1": "1.2", "bm25_b": "0.75"},
-    "ranker": {
-        "embedding_size": "300",
-        "matrix_size": "30",
-        "conv_window": "6",
-        "pool_window": "6",
-        "conv_kernels": "64",
-        "conv_stages": "1",
-        "mlp_hidden": "128",
-        "dropout": "0.5",
-        "learning_rate": "0.0001",
-        "batch_size": "500",
-        "steps_between_validation": "1000",
-        "early_stopping_patience": "10",
-        "max_steps": "50000",
-    },
-    "supervision": {"signal": "bleu1", "k_prime": "3", "margin": "1.0", "l2_coeff": "0.0"},
-    "run": {"seed": "0", "beam_size": "10", "max_len": "30", "desk_scale": "false"},
-}
 
 DESK_OVERRIDES = {
     "vocab": {"max_size": "2000"},
@@ -113,126 +81,92 @@ DESK_OVERRIDES = {
 }
 
 
-def default_config_text(desk: bool = False) -> str:
-    """Render a config file with every key spelled out.
+def _key(section: str, key: str, default, words: tuple[str, str] = ("false", "true")):
+    """A config field read from `[section] key`, with its full-scale default.
 
-    Full-scale defaults carry the training-scale hyperparameters (the
-    facts-grounded generator column); the desk variant shrinks models and
-    schedules for test-scale corpora.
+    The default's type is the field's type.  A bool is written as
+    words[value] by `init-config`.
     """
-    values = {s: dict(kv) for s, kv in FULL_DEFAULTS.items()}
-    if desk:
-        for section, kv in DESK_OVERRIDES.items():
-            values[section].update(kv)
-    out = io.StringIO()
-    for section, kv in values.items():
-        out.write(f"[{section}]\n")
-        for key, val in kv.items():
-            out.write(f"{key} = {val}\n")
-        out.write("\n")
-    return out.getvalue()
+    return field(default=default, metadata={"ini": (section, key), "words": words})
+
+
+def _parse(f, text: str):
+    """Typed value of one config string; errors name the `[section] key`."""
+    kind = type(f.default)
+    try:
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        return kind(text)
+    except (KeyError, ValueError):
+        section, key = f.metadata["ini"]
+        want = "on/off, true/false, yes/no or 1/0" if kind is bool else kind.__name__
+        raise ValueError(f"[{section}] {key}: cannot read {text!r} as {want}") from None
 
 
 @dataclass
 class PipelineConfig:
-    """Typed view of one resolved config file."""
+    """Typed view of one resolved config file.
 
-    train_corpus: str
-    valid_corpus: str
-    test_corpus: str
-    workdir: str
-    vocab_max_size: int
-    vocab_min_count: int
-    gen_facts: bool
-    gen_embedding_size: int
-    gen_hidden_size: int
-    gen_layers: int
-    gen_dropout: float
-    gen_lr: float
-    gen_lr_decay: float
-    gen_validate_every: int
-    gen_patience: int
-    gen_batch_size: int
-    gen_max_steps: int
-    retrieval_k: int
-    bm25_k1: float
-    bm25_b: float
-    rank_embedding_size: int
-    matrix_size: int
-    conv_window: int
-    pool_window: int
-    conv_kernels: int
-    conv_stages: int
-    mlp_hidden: int
-    rank_dropout: float
-    rank_lr: float
-    rank_batch_size: int
-    rank_validate_every: int
-    rank_patience: int
-    rank_max_steps: int
-    signal: str
-    k_prime: int
-    margin: float
-    l2_coeff: float
-    seed: int
-    beam_size: int
-    max_len: int
-    desk_scale: bool
+    Each field is declared once, with its `[section] key` and full-scale
+    default; parsing, `init-config` and the model configs all read this table.
+    """
+
+    train_corpus: str = _key("paths", "train_corpus", "data/train.jsonl")
+    valid_corpus: str = _key("paths", "valid_corpus", "data/valid.jsonl")
+    test_corpus: str = _key("paths", "test_corpus", "data/test.jsonl")
+    workdir: str = _key("paths", "workdir", "work")
+    vocab_max_size: int = _key("vocab", "max_size", 20000)
+    vocab_min_count: int = _key("vocab", "min_count", 1)
+    gen_facts: bool = _key("generator", "facts", True, words=("off", "on"))
+    gen_embedding_size: int = _key("generator", "embedding_size", 256)
+    gen_hidden_size: int = _key("generator", "hidden_size", 256)
+    gen_layers: int = _key("generator", "lstm_layers", 2)
+    gen_dropout: float = _key("generator", "dropout", 0.3)
+    gen_lr: float = _key("generator", "learning_rate", 0.001)
+    gen_lr_decay: float = _key("generator", "learning_rate_decay", 0.5)
+    gen_validate_every: int = _key("generator", "steps_between_validation", 5000)
+    gen_patience: int = _key("generator", "early_stopping_patience", 10)
+    gen_batch_size: int = _key("generator", "batch_size", 500)
+    gen_max_steps: int = _key("generator", "max_steps", 100000)
+    retrieval_k: int = _key("retrieval", "k", DEFAULT_K)
+    bm25_k1: float = _key("retrieval", "bm25_k1", DEFAULT_K1)
+    bm25_b: float = _key("retrieval", "bm25_b", DEFAULT_B)
+    rank_embedding_size: int = _key("ranker", "embedding_size", 300)
+    matrix_size: int = _key("ranker", "matrix_size", 30)
+    conv_window: int = _key("ranker", "conv_window", 6)
+    pool_window: int = _key("ranker", "pool_window", 6)
+    conv_kernels: int = _key("ranker", "conv_kernels", 64)
+    conv_stages: int = _key("ranker", "conv_stages", 1)
+    mlp_hidden: int = _key("ranker", "mlp_hidden", 128)
+    rank_dropout: float = _key("ranker", "dropout", 0.5)
+    rank_lr: float = _key("ranker", "learning_rate", 0.0001)
+    rank_batch_size: int = _key("ranker", "batch_size", 500)
+    rank_validate_every: int = _key("ranker", "steps_between_validation", 1000)
+    rank_patience: int = _key("ranker", "early_stopping_patience", 10)
+    rank_max_steps: int = _key("ranker", "max_steps", 50000)
+    signal: str = _key("supervision", "signal", "bleu1")
+    k_prime: int = _key("supervision", "k_prime", 3)
+    margin: float = _key("supervision", "margin", 1.0)
+    l2_coeff: float = _key("supervision", "l2_coeff", 0.0)
+    seed: int = _key("run", "seed", 0)
+    beam_size: int = _key("run", "beam_size", 10)
+    max_len: int = _key("run", "max_len", 30)
+    desk_scale: bool = _key("run", "desk_scale", False)
 
     @classmethod
     def from_sections(cls, sections: dict) -> "PipelineConfig":
-        merged = {s: dict(kv) for s, kv in FULL_DEFAULTS.items()}
+        table = {f.metadata["ini"]: f for f in fields(cls)}
+        known = {section for section, _ in table}
+        values = {}
         for section, kv in sections.items():
-            if section not in merged:
+            if section not in known:
                 raise ValueError(f"unknown config section [{section}]")
-            for key, val in kv.items():
-                if key not in merged[section]:
+            for key, text in kv.items():
+                f = table.get((section, key))
+                if f is None:
                     raise ValueError(f"unknown config key {key!r} in [{section}]")
-                merged[section][key] = str(val)
-        g, r, v = merged["generator"], merged["ranker"], merged["run"]
-        return cls(
-            train_corpus=merged["paths"]["train_corpus"],
-            valid_corpus=merged["paths"]["valid_corpus"],
-            test_corpus=merged["paths"]["test_corpus"],
-            workdir=merged["paths"]["workdir"],
-            vocab_max_size=int(merged["vocab"]["max_size"]),
-            vocab_min_count=int(merged["vocab"]["min_count"]),
-            gen_facts=g["facts"].lower() in ("on", "true", "1", "yes"),
-            gen_embedding_size=int(g["embedding_size"]),
-            gen_hidden_size=int(g["hidden_size"]),
-            gen_layers=int(g["lstm_layers"]),
-            gen_dropout=float(g["dropout"]),
-            gen_lr=float(g["learning_rate"]),
-            gen_lr_decay=float(g["learning_rate_decay"]),
-            gen_validate_every=int(g["steps_between_validation"]),
-            gen_patience=int(g["early_stopping_patience"]),
-            gen_batch_size=int(g["batch_size"]),
-            gen_max_steps=int(g["max_steps"]),
-            retrieval_k=int(merged["retrieval"]["k"]),
-            bm25_k1=float(merged["retrieval"]["bm25_k1"]),
-            bm25_b=float(merged["retrieval"]["bm25_b"]),
-            rank_embedding_size=int(r["embedding_size"]),
-            matrix_size=int(r["matrix_size"]),
-            conv_window=int(r["conv_window"]),
-            pool_window=int(r["pool_window"]),
-            conv_kernels=int(r["conv_kernels"]),
-            conv_stages=int(r["conv_stages"]),
-            mlp_hidden=int(r["mlp_hidden"]),
-            rank_dropout=float(r["dropout"]),
-            rank_lr=float(r["learning_rate"]),
-            rank_batch_size=int(r["batch_size"]),
-            rank_validate_every=int(r["steps_between_validation"]),
-            rank_patience=int(r["early_stopping_patience"]),
-            rank_max_steps=int(r["max_steps"]),
-            signal=merged["supervision"]["signal"],
-            k_prime=int(merged["supervision"]["k_prime"]),
-            margin=float(merged["supervision"]["margin"]),
-            l2_coeff=float(merged["supervision"]["l2_coeff"]),
-            seed=int(v["seed"]),
-            beam_size=int(v["beam_size"]),
-            max_len=int(v["max_len"]),
-            desk_scale=v["desk_scale"].lower() in ("on", "true", "1", "yes"),
-        )
+                values[f.name] = _parse(f, str(text))
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -316,14 +250,36 @@ class PipelineConfig:
         )
 
     def supervision_config(self) -> SupervisionConfig:
-        return SupervisionConfig(
-            signal=self.signal, k_prime=self.k_prime, margin=self.margin,
-            l2_coeff=self.l2_coeff,
-        )
+        return SupervisionConfig(signal=self.signal, k_prime=self.k_prime)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
+
+
+def default_config_text(desk: bool = False) -> str:
+    """Render a config file with every key spelled out.
+
+    Full-scale defaults carry the training-scale hyperparameters (the
+    facts-grounded generator column); the desk variant shrinks models and
+    schedules for test-scale corpora.
+    """
+    values: dict[str, dict[str, str]] = {}
+    for f in fields(PipelineConfig):
+        section, key = f.metadata["ini"]
+        default = f.default
+        text = f.metadata["words"][default] if isinstance(default, bool) else str(default)
+        values.setdefault(section, {})[key] = text
+    if desk:
+        for section, kv in DESK_OVERRIDES.items():
+            values[section].update(kv)
+    out = io.StringIO()
+    for section, kv in values.items():
+        out.write(f"[{section}]\n")
+        for key, val in kv.items():
+            out.write(f"{key} = {val}\n")
+        out.write("\n")
+    return out.getvalue()
 
 
 @dataclass
@@ -610,9 +566,7 @@ def run_ablation(cfg: PipelineConfig, axis: str, retrain: bool = False) -> list[
     for key, value in settings:
         name = f"{key}={value}"
         try:
-            sup_kwargs = {"signal": cfg.signal, "k_prime": cfg.k_prime,
-                          "margin": cfg.margin, "l2_coeff": cfg.l2_coeff, key: value}
-            sup = SupervisionConfig(**sup_kwargs)
+            sup = replace(cfg.supervision_config(), **{key: value})
             train_triples = pools_to_triples(train_pools, sup)
             valid_triples = pools_to_triples(valid_pools, sup)
             ranker = RankerModel(cfg.ranker_config(len(artifacts.vocab)),
@@ -707,23 +661,13 @@ def write_candidates_jsonl(path: str, pools: list[CandidateSet]) -> None:
 
 def read_candidates_jsonl(path: str) -> list[CandidateSet]:
     pools = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            for key in ("context", "candidates"):
-                if key not in obj:
-                    raise ValueError(f"{path}:{lineno}: missing field {key!r}")
-            cands = [
-                Candidate(tokenize(c["text"]), c["provenance"], int(c.get("rank", 0)))
-                for c in obj["candidates"]
-            ]
-            gt = tokenize(obj["ground_truth"]) if "ground_truth" in obj else None
-            pool = CandidateSet(tokenize(obj["context"]), cands, ground_truth=gt)
-            pool.validate()
-            pools.append(pool)
+    for lineno, obj in read_jsonl(path, ("context", "candidates")):
+        cands = []
+        for c in obj["candidates"]:
+            check_fields(c, ("text", "provenance"), path, lineno)
+            cands.append(Candidate(tokenize(c["text"]), c["provenance"], int(c.get("rank", 0))))
+        gt = tokenize(obj["ground_truth"]) if "ground_truth" in obj else None
+        pool = CandidateSet(tokenize(obj["context"]), cands, ground_truth=gt)
+        pool.validate()
+        pools.append(pool)
     return pools

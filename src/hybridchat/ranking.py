@@ -27,45 +27,30 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RankerConfig:
-    vocab_size: int
-    embedding_size: int = 300
-    matrix_size: int = 30
-    conv_kernels: int = 64
-    conv_window: tuple = (6, 6)
-    pool_window: tuple = (6, 6)
-    conv_stages: int = 1
-    mlp_hidden: int = 128
-    dropout: float = 0.5
+    """Model shape; pipeline.PipelineConfig holds the defaults of every field."""
 
-    @classmethod
-    def profile(cls, name: str, vocab_size: int) -> "RankerConfig":
-        if name == "full":
-            return cls(vocab_size)
-        if name == "desk":
-            return cls(vocab_size, embedding_size=32, conv_kernels=16, mlp_hidden=64)
-        raise ValueError(f"unknown ranker profile {name!r}")
+    vocab_size: int
+    embedding_size: int
+    matrix_size: int
+    conv_kernels: int
+    conv_window: tuple
+    pool_window: tuple
+    conv_stages: int
+    mlp_hidden: int
+    dropout: float
 
 
 @dataclass
 class RankerTrainConfig:
-    learning_rate: float = 1e-4
-    batch_size: int = 500
-    validate_every: int = 1000
-    patience: int = 10
-    max_steps: int = 50_000
-    margin: float = 1.0
-    l2_coeff: float = 0.0
+    learning_rate: float
+    batch_size: int
+    validate_every: int
+    patience: int
+    max_steps: int
+    margin: float
+    l2_coeff: float
     seed: int = 0
     target_accuracy: float | None = None
-
-    @classmethod
-    def profile(cls, name: str) -> "RankerTrainConfig":
-        if name == "full":
-            return cls()
-        if name == "desk":
-            return cls(learning_rate=2e-3, batch_size=32, validate_every=100,
-                       max_steps=1_000)
-        raise ValueError(f"unknown ranker profile {name!r}")
 
 
 class RankerModel(Model):
@@ -157,24 +142,6 @@ def _interaction_graph(model: RankerModel, ctx: np.ndarray, cand: np.ndarray) ->
     return ad.reshape(m, (B, 1, L, L))
 
 
-def interaction_matrix(model: RankerModel, ctx_ids: list[int], cand_ids: list[int]) -> np.ndarray:
-    """Pairwise embedding dot products on the fixed padded grid.
-
-    Rows index context positions, columns candidate positions; PAD rows and
-    columns are zero.  Raises on an empty candidate or context.
-    """
-    if not ctx_ids:
-        raise ValueError("empty context")
-    if not cand_ids:
-        raise ValueError("empty candidate")
-    L = model.config.matrix_size
-    ctx = pad_ids(ctx_ids, L)[None, :]
-    cand = pad_ids(cand_ids, L)[None, :]
-    with no_grad():
-        m = _interaction_graph(model, ctx, cand)
-    return m.data[0, 0].copy()
-
-
 def _cnn_graph(model: RankerModel, grid: Tensor) -> Tensor:
     """Alternate convolution (ReLU) and max pooling, then flatten."""
     x = grid
@@ -184,18 +151,6 @@ def _cnn_graph(model: RankerModel, grid: Tensor) -> Tensor:
         x = ad.max_pool2d(ad.relu(conv), ph, pw)
     B = x.shape[0]
     return ad.reshape(x, (B, -1))
-
-
-def cnn_forward(model: RankerModel, matrix: np.ndarray) -> np.ndarray:
-    """Feature vector the CNN extracts from one interaction matrix."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (model.config.matrix_size,) * 2:
-        raise ValueError(
-            f"matrix shape {matrix.shape} != fixed {(model.config.matrix_size,) * 2}"
-        )
-    with no_grad():
-        feats = _cnn_graph(model, Tensor(matrix[None, None]))
-    return feats.data[0].copy()
 
 
 def score_batch(model: RankerModel, ctx: np.ndarray, cand: np.ndarray,
@@ -208,15 +163,7 @@ def score_batch(model: RankerModel, ctx: np.ndarray, cand: np.ndarray,
     return ad.reshape(model.out(hidden), (-1,))
 
 
-def score(model: RankerModel, ctx_ids: list[int], cand_ids: list[int]) -> float:
-    """Deterministic inference score f(context, candidate)."""
-    L = model.config.matrix_size
-    with no_grad():
-        s = score_batch(model, pad_ids(ctx_ids, L)[None, :], pad_ids(cand_ids, L)[None, :])
-    return float(s.data[0])
-
-
-def hinge_loss(pos_scores: Tensor, neg_scores: Tensor, margin: float = 1.0,
+def hinge_loss(pos_scores: Tensor, neg_scores: Tensor, margin: float,
                l2_coeff: float = 0.0, params: dict | None = None) -> Tensor:
     """Sum of max(0, margin - s+ + s-) over triples plus l2_coeff * ||params||^2.
 
@@ -267,20 +214,14 @@ class CandidateSet:
 class SupervisionConfig:
     """How distant labels and training triples are built."""
 
-    signal: str = "bleu1"        # bleu1 | bleu2 | rougel | sentbleu
-    k_prime: int = 3
-    margin: float = 1.0
-    l2_coeff: float = 0.0
+    signal: str                  # bleu1 | bleu2 | rougel | sentbleu
+    k_prime: int
 
     def __post_init__(self):
         if self.signal not in SIGNALS:
             raise ValueError(f"unknown supervision signal {self.signal!r}")
         if self.k_prime < 1:
             raise ValueError(f"k_prime must be >= 1, got {self.k_prime}")
-        if self.margin <= 0.0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.l2_coeff < 0.0:
-            raise ValueError(f"l2 coefficient must be >= 0, got {self.l2_coeff}")
 
 
 @dataclass
@@ -418,6 +359,10 @@ def train_ranker(
     """
     if not triples:
         raise ValueError("no training triples")
+    if tcfg.margin <= 0.0:
+        raise ValueError(f"margin must be positive, got {tcfg.margin}")
+    if tcfg.l2_coeff < 0.0:
+        raise ValueError(f"l2 coefficient must be >= 0, got {tcfg.l2_coeff}")
     size = model.config.matrix_size
     train_arrays = encode_triples(triples, vocab, size)
     valid_arrays = encode_triples(valid_triples or triples, vocab, size)

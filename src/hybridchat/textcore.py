@@ -24,8 +24,6 @@ EOS_TOKEN = "<eos>"
 
 RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
 
-DEFAULT_MAX_LEN = 30
-
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 
@@ -71,11 +69,12 @@ class Vocabulary:
         return self.id_to_token[idx]
 
     @classmethod
-    def build(cls, corpus: "Corpus", max_size: int = 20000, min_count: int = 1) -> "Vocabulary":
+    def build(cls, corpus: "Corpus", max_size: int, min_count: int = 1) -> "Vocabulary":
         """Count every token in contexts, responses, and facts, then rank.
 
         Raises ValueError on an empty corpus.  Final size is at most
-        max_size + 4 (reserved ids are not charged against max_size).
+        max_size + 4 (reserved ids are not charged against max_size); a
+        max_size of 0 keeps every token.
         """
         if not corpus.examples:
             raise ValueError("cannot build a vocabulary from an empty corpus")
@@ -114,7 +113,7 @@ class Vocabulary:
 def encode(
     tokens: list[str],
     vocab: Vocabulary,
-    max_len: int = DEFAULT_MAX_LEN,
+    max_len: int,
     add_eos: bool = False,
 ) -> list[int]:
     """Map tokens to ids: OOV becomes UNK, length is clipped to max_len.
@@ -159,14 +158,19 @@ class Corpus:
         return iter(self.examples)
 
 
-def load_corpus(path: str, split: str = "train") -> Corpus:
-    """Read a JSON-lines corpus: one {"context", "response", "facts"} object per line.
+def check_fields(obj, names: tuple[str, ...], path: str, lineno: int) -> None:
+    """Raise ValueError naming `path:lineno` unless obj is an object with every field."""
+    for key in names:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"{path}:{lineno}: missing field {key!r}")
 
-    Lines are tokenized in file order.  Malformed JSON, missing fields, or a
-    context/response that tokenizes to nothing raise ValueError naming the
-    line number.  Blank lines are skipped.
+
+def read_jsonl(path: str, names: tuple[str, ...] = ()):
+    """Yield (line number, object) for each non-blank line of a JSON-lines file.
+
+    Malformed JSON, or an object without one of the required field names,
+    raises ValueError naming `path:lineno`.
     """
-    examples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -175,18 +179,28 @@ def load_corpus(path: str, split: str = "train") -> Corpus:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            for key in ("context", "response", "facts"):
-                if key not in obj:
-                    raise ValueError(f"{path}:{lineno}: missing field {key!r}")
-            context = tokenize(obj["context"])
-            response = tokenize(obj["response"])
-            if not context:
-                raise ValueError(f"{path}:{lineno}: context tokenizes to nothing")
-            if not response:
-                raise ValueError(f"{path}:{lineno}: response tokenizes to nothing")
-            facts = [tokenize(f) for f in obj["facts"]]
-            facts = [f for f in facts if f]
-            examples.append(ConversationExample(context, response, facts))
+            check_fields(obj, names, path, lineno)
+            yield lineno, obj
+
+
+def load_corpus(path: str, split: str = "train") -> Corpus:
+    """Read a JSON-lines corpus: one {"context", "response", "facts"} object per line.
+
+    Lines are tokenized in file order.  Malformed JSON, missing fields, or a
+    context/response that tokenizes to nothing raise ValueError naming the
+    line number.  Blank lines are skipped.
+    """
+    examples = []
+    for lineno, obj in read_jsonl(path, ("context", "response", "facts")):
+        context = tokenize(obj["context"])
+        response = tokenize(obj["response"])
+        if not context:
+            raise ValueError(f"{path}:{lineno}: context tokenizes to nothing")
+        if not response:
+            raise ValueError(f"{path}:{lineno}: response tokenizes to nothing")
+        facts = [tokenize(f) for f in obj["facts"]]
+        facts = [f for f in facts if f]
+        examples.append(ConversationExample(context, response, facts))
     return Corpus(examples, split=split)
 
 

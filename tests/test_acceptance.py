@@ -6,6 +6,7 @@ correctness, retrieval/metric/beam oracles, optimization convergence,
 distant supervision, end-to-end determinism, and artifact round-trips.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -13,9 +14,7 @@ import pytest
 
 from hybridchat.generation import (
     DecodingSession,
-    GeneratorConfig,
     GeneratorModel,
-    GeneratorTrainConfig,
     beam_search,
     make_batch,
     nll_loss,
@@ -25,6 +24,7 @@ from hybridchat.generation import (
 from hybridchat.metrics import SIGNALS, corpus_bleu, distinct_n, rouge_l
 from hybridchat.nncore import Adam, grad_check
 from hybridchat.pipeline import (
+    DESK_OVERRIDES,
     PipelineConfig,
     evaluate_corpus,
     prepare_artifacts,
@@ -35,9 +35,7 @@ from hybridchat.pipeline import (
 from hybridchat.ranking import (
     Candidate,
     CandidateSet,
-    RankerConfig,
     RankerModel,
-    RankerTrainConfig,
     SupervisionConfig,
     encode_triples,
     hinge_loss,
@@ -51,9 +49,12 @@ from hybridchat.retrieval import RepositoryIndex, build_index, retrieve
 from hybridchat.synth import separability_data, synthetic_corpus
 from hybridchat.textcore import EOS_ID, Corpus, ConversationExample, Vocabulary
 
-from .test_generation import enumerate_hypotheses
+from .test_generation import enumerate_hypotheses, gen_config
 from .test_pipeline import write_env
 from .test_retrieval import oracle_topk, random_corpus
+
+
+DESK = PipelineConfig.from_sections(DESK_OVERRIDES)
 
 
 def _report(name: str) -> None:
@@ -67,11 +68,7 @@ class TestCriterionGradientCorrectness:
         t0 = time.time()
         rng = np.random.default_rng(4242)
 
-        gen = GeneratorModel(
-            GeneratorConfig(40, embedding_size=64, hidden_size=64, use_facts=True,
-                            dropout=0.0),
-            np.random.default_rng(7),
-        )
+        gen = GeneratorModel(gen_config(40, 64, 64), np.random.default_rng(7))
         batch = make_batch([
             ([4, 9, 17, 25], [[6, 30], [12]], [8, 21, 5, EOS_ID]),
             ([11, 35, 6], [[22, 7]], [30, 14, EOS_ID]),
@@ -84,7 +81,7 @@ class TestCriterionGradientCorrectness:
         gen_err = grad_check(gen_loss, list(gen.params.values()), rng, n_samples=200)
         assert gen_err < 1e-4, f"generator NLL gradient error {gen_err}"
 
-        ranker = RankerModel(RankerConfig.profile("desk", 64), np.random.default_rng(9))
+        ranker = RankerModel(DESK.ranker_config(64), np.random.default_rng(9))
         scale_rng = np.random.default_rng(11)
         for p in ranker.params.values():
             p.data[...] = scale_rng.normal(size=p.data.shape) * 0.4
@@ -160,10 +157,7 @@ class TestCriterionBeamSearchOracle:
 
     def make_three_token_model(self, seed):
         # vocab: 4 reserved + {a=4, b=5}; decoder proposes only {a, b, EOS}
-        return GeneratorModel(
-            GeneratorConfig(6, embedding_size=5, hidden_size=4, use_facts=True, dropout=0.0),
-            np.random.default_rng(seed),
-        )
+        return GeneratorModel(gen_config(6, 5, 4), np.random.default_rng(seed))
 
     def test_matches_enumeration_on_random_weight_models(self):
         for seed in (1, 2, 3):
@@ -193,21 +187,22 @@ class TestCriterionBeamSearchOracle:
 @pytest.fixture(scope="module")
 def corpus_and_vocab():
     corpus = synthetic_corpus(50, seed=7, split="train")
-    vocab = Vocabulary.build(corpus)
+    vocab = Vocabulary.build(corpus, max_size=0)
     return encode_corpus(corpus, vocab, 30), vocab
 
 
 class TestCriterionOverfitConvergence:
     """Per-token perplexity < 1.1 on 50 pairs within 2000 steps, < 5 min, both paths."""
 
-    @pytest.mark.parametrize("profile", ["desk-facts", "desk"])
-    def test_memorizes_fifty_pairs(self, corpus_and_vocab, profile):
+    @pytest.mark.parametrize("variant", ["desk-facts", "desk"])
+    def test_memorizes_fifty_pairs(self, corpus_and_vocab, variant):
         examples, vocab = corpus_and_vocab
-        if profile == "desk":
+        cfg = DESK
+        if variant == "desk":
             examples = [(c, [], t) for c, _, t in examples]   # facts stripped: F = 0
-        model = GeneratorModel(GeneratorConfig.profile(profile, len(vocab)),
-                               np.random.default_rng(0))
-        tcfg = GeneratorTrainConfig.profile(profile)
+            cfg = dataclasses.replace(DESK, gen_facts=False)
+        model = GeneratorModel(cfg.generator_config(len(vocab)), np.random.default_rng(0))
+        tcfg = cfg.generator_train_config(seed=0)
         tcfg.max_steps = 2000
         tcfg.target_ppl = 1.05
         t0 = time.time()
@@ -215,9 +210,9 @@ class TestCriterionOverfitConvergence:
         elapsed = time.time() - t0
         ppl = perplexity(model, examples)
         assert log.steps_run <= 2000
-        assert ppl < 1.1, f"{profile}: perplexity {ppl:.4f} after {log.steps_run} steps"
-        assert elapsed < 300.0, f"{profile}: training took {elapsed:.1f}s"
-        _report(f"overfit convergence [{profile}] (ppl {ppl:.4f}, "
+        assert ppl < 1.1, f"{variant}: perplexity {ppl:.4f} after {log.steps_run} steps"
+        assert elapsed < 300.0, f"{variant}: training took {elapsed:.1f}s"
+        _report(f"overfit convergence [{variant}] (ppl {ppl:.4f}, "
                 f"{log.steps_run} steps, {elapsed:.1f}s)")
 
 
@@ -265,9 +260,8 @@ class TestCriterionRankerSeparability:
         train, tokens = separability_data(250, seed=11)
         held, _ = separability_data(120, seed=207)
         vocab = Vocabulary.build(Corpus([ConversationExample(tokens, ["ok"])]), max_size=0)
-        model = RankerModel(RankerConfig.profile("desk", len(vocab)),
-                            np.random.default_rng(2))
-        tcfg = RankerTrainConfig.profile("desk")
+        model = RankerModel(DESK.ranker_config(len(vocab)), np.random.default_rng(2))
+        tcfg = DESK.ranker_train_config(seed=0)
         tcfg.max_steps = 1000
         tcfg.target_accuracy = 0.99
         t0 = time.time()
@@ -331,8 +325,7 @@ class TestCriterionEndToEnd:
 
 class TestCriterionRoundTrips:
     def test_checkpoint_roundtrip_bit_identical(self, tmp_path):
-        gen = GeneratorModel(GeneratorConfig(30, embedding_size=16, hidden_size=12),
-                             np.random.default_rng(3))
+        gen = GeneratorModel(gen_config(30, 16, 12, dropout=0.3), np.random.default_rng(3))
         opt = Adam(gen.params, lr=1e-3)
         for p in gen.params.values():
             p.grad = np.random.default_rng(4).normal(size=p.data.shape)
@@ -346,7 +339,7 @@ class TestCriterionRoundTrips:
         blob.save(p2, vocab_hash="vh", optimizer=opt2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-        rank = RankerModel(RankerConfig.profile("desk", 30), np.random.default_rng(5))
+        rank = RankerModel(DESK.ranker_config(30), np.random.default_rng(5))
         r1, r2 = str(tmp_path / "r1.ckpt"), str(tmp_path / "r2.ckpt")
         rank.save(r1, vocab_hash="vh")
         RankerModel.load(r1).save(r2, vocab_hash="vh")

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from hybridchat.cli import main
+from hybridchat.generation import GeneratorModel
 from hybridchat.pipeline import PipelineConfig, run_pipeline, write_candidates_jsonl
 from hybridchat.pipeline import corpus_pools, prepare_artifacts
 
@@ -60,6 +61,23 @@ class TestStandaloneCommands:
         assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--out", out]) == 0
         report = json.loads(open(out).read())
         assert 0.0 <= report["bleu"] <= 100.0
+
+    def test_missing_fields_name_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        out = str(tmp_path / "out.json")
+        bad.write_text(json.dumps({"text": "x"}) + "\n")
+        assert main(["evaluate", "--hyp", str(bad), "--ref", str(bad), "--out", out]) == 1
+        assert f"error: {bad}:1: missing field 'response'" in capsys.readouterr().err
+        bad.write_text(json.dumps({"context": "hi", "ground_truth": "yo",
+                                   "candidates": [{"provenance": "retrieved"}]}) + "\n")
+        assert main(["label", "--candidates", str(bad), "--out", out]) == 1
+        assert f"error: {bad}:1: missing field 'text'" in capsys.readouterr().err
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text("[run]\nseed = 1\n")
+        bad.write_text(json.dumps({"context": "hi", "positive": "yo"}) + "\n")
+        assert main(["train-ranker", "--triples", str(bad), "--config", str(cfg_path),
+                     "--out", out]) == 1
+        assert f"error: {bad}:1: missing field 'negative'" in capsys.readouterr().err
 
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         assert main(["build-index", "--corpus", "/nonexistent.jsonl",
@@ -129,6 +147,20 @@ class TestPipelineCommands:
                      "--out", out]) == 0
         assert os.path.exists(out)
         assert "best valid ppl" in capsys.readouterr().out
+
+    def test_train_generator_keeps_config_facts_off(self, tmp_path):
+        out = str(tmp_path / "gen3.ckpt")
+        sections = {k: dict(v) for k, v in TEST_SECTIONS.items()}
+        sections["generator"] = {
+            "facts": "off", "embedding_size": "8", "hidden_size": "8", "dropout": "0.0",
+            "steps_between_validation": "2", "batch_size": "25", "max_steps": "2",
+        }
+        cfg_path = write_env(str(tmp_path / "tg"), seed=5, sections=sections)
+        assert main(["train-generator", "--config", cfg_path, "--out", out]) == 0
+        assert GeneratorModel.load(out).config.use_facts is False
+        assert main(["train-generator", "--config", cfg_path, "--facts", "on",
+                     "--out", out]) == 0
+        assert GeneratorModel.load(out).config.use_facts is True
 
     def test_ablate_writes_table(self, env, tmp_path, capsys):
         table_path = str(tmp_path / "table.json")

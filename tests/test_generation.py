@@ -1,5 +1,4 @@
 import itertools
-import logging
 import math
 
 import numpy as np
@@ -8,106 +7,150 @@ import pytest
 from hybridchat.generation import (
     DecodingSession,
     EarlyStopping,
-    EncodedContext,
-    FactsSummary,
     GeneratorConfig,
     GeneratorModel,
     GeneratorTrainConfig,
-    attention_step,
+    _attention,
+    _encode_for_decoding,
+    _fact_vectors,
+    _run_encoder,
     beam_search,
-    decode_step,
-    decoder_init,
-    encode_context,
-    encode_facts,
-    greedy_decode,
     make_batch,
     nll_loss,
     perplexity,
     train_generator,
 )
 from hybridchat.nncore import Tensor, grad_check, lstm_step, no_grad
+from hybridchat.nncore import autodiff as ad
 from hybridchat.textcore import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 
+def gen_config(vocab, emb, hidden, use_facts=True, dropout=0.0):
+    return GeneratorConfig(vocab, embedding_size=emb, hidden_size=hidden, num_layers=2,
+                           use_facts=use_facts, dropout=dropout, max_len=30)
+
+
+def train_config(**kwargs):
+    return GeneratorTrainConfig(**{"lr_decay": 0.5, "patience": 10, **kwargs})
+
+
 def small_model(vocab=12, emb=6, hidden=5, use_facts=True, seed=0):
-    cfg = GeneratorConfig(vocab, embedding_size=emb, hidden_size=hidden, use_facts=use_facts,
-                          dropout=0.0)
-    return GeneratorModel(cfg, np.random.default_rng(seed))
+    return GeneratorModel(gen_config(vocab, emb, hidden, use_facts), np.random.default_rng(seed))
+
+
+def context_hiddens(model, ids):
+    """Top-layer context hiddens (L, H) and the final hidden (H,) of one context."""
+    batch = np.asarray([ids], dtype=np.int64)
+    with no_grad():
+        tops, final = _run_encoder(model, model.encoder, batch, np.ones(batch.shape), carry=True)
+    return np.stack([t.data[0] for t in tops]), final.data[0]
+
+
+def fact_vectors(model, facts):
+    """Mean-pooled (F, H) fact vectors of one example, as make_batch pads them."""
+    batch = make_batch([([4], facts, [EOS_ID])])
+    with no_grad():
+        fbar, _ = _fact_vectors(model, batch.facts, batch.facts_mask)
+    return fbar.data[0]
+
+
+def initial_state(model, ctx, facts):
+    """Initial top-layer decoder state s0 of one example."""
+    with no_grad():
+        _, _, states = _encode_for_decoding(model, make_batch([(ctx, facts, [EOS_ID])]))
+    return states[-1][0].data[0]
+
+
+def attend(e_matrix, s_prev):
+    """Weights, context and tanh features of one query over the (H, C) columns."""
+    e_cols = Tensor(np.asarray(e_matrix, dtype=np.float64).T[None])
+    s = Tensor(np.asarray(s_prev, dtype=np.float64)[None])
+    with no_grad():
+        weights, context = _attention(e_cols, np.ones((1, e_cols.shape[1])), s)
+        features = ad.tanh(ad.concat([s, context], axis=1))
+    return weights.data[0], context.data[0], features.data[0]
+
+
+def step_one(session, state, y_prev):
+    """One DecodingSession.step for a single hypothesis row."""
+    probs, new_state = session.step(state, np.asarray([y_prev]))
+    return probs[0], new_state
 
 
 class TestEncodeContext:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            encode_context(small_model(), [])
+            DecodingSession(small_model(), [])
+        with pytest.raises(ValueError):
+            make_batch([([], [], [EOS_ID])])
 
     def test_length_one_equals_single_lstm_steps(self):
         model = small_model()
-        out = encode_context(model, [4])
+        hidden, final = context_hiddens(model, [4])
         with no_grad():
             x = Tensor(model.embedding.data[[4]])
             h0, c0 = model.encoder.cells[0].zero_state(1)
             h1, _ = lstm_step(model.encoder.cells[0], x, h0, c0)
             h0b, c0b = model.encoder.cells[1].zero_state(1)
             h2, _ = lstm_step(model.encoder.cells[1], h1, h0b, c0b)
-        np.testing.assert_allclose(out.hidden[0], h2.data[0], atol=1e-15)
-        np.testing.assert_array_equal(out.hidden[-1], out.final)
+        np.testing.assert_allclose(hidden[0], h2.data[0], atol=1e-15)
+        np.testing.assert_array_equal(hidden[-1], final)
 
     def test_prefix_property(self):
         model = small_model()
         ids = [4, 7, 5, 9, 6]
-        full = encode_context(model, ids)
+        full, _ = context_hiddens(model, ids)
         for k in (1, 2, 4):
-            prefix = encode_context(model, ids[:k])
-            np.testing.assert_array_equal(full.hidden[:k], prefix.hidden)
+            prefix, _ = context_hiddens(model, ids[:k])
+            np.testing.assert_array_equal(full[:k], prefix)
 
     def test_zero_weights_give_zero_hidden(self):
         model = small_model()
         model.set_zero()
-        out = encode_context(model, [4, 5, 6])
-        np.testing.assert_allclose(out.hidden, 0.0, atol=1e-15)
+        hidden, _ = context_hiddens(model, [4, 5, 6])
+        np.testing.assert_allclose(hidden, 0.0, atol=1e-15)
 
 
 class TestEncodeFacts:
     def test_mean_of_one_is_the_hidden_vector(self):
         model = small_model()
-        summary = encode_facts(model, [[7]])
+        vectors = fact_vectors(model, [[7]])
         with no_grad():
             x = Tensor(model.embedding.data[[7]])
             h0, c0 = model.facts_encoder.cells[0].zero_state(1)
             h1, _ = lstm_step(model.facts_encoder.cells[0], x, h0, c0)
             h0b, c0b = model.facts_encoder.cells[1].zero_state(1)
             h2, _ = lstm_step(model.facts_encoder.cells[1], h1, h0b, c0b)
-        np.testing.assert_allclose(summary.vectors[0], h2.data[0], atol=1e-15)
+        np.testing.assert_allclose(vectors[0], h2.data[0], atol=1e-15)
 
     def test_duplicate_fact_gives_identical_vectors(self):
-        model = small_model()
-        summary = encode_facts(model, [[4, 5], [4, 5]])
-        assert summary.count == 2
-        np.testing.assert_array_equal(summary.vectors[0], summary.vectors[1])
+        vectors = fact_vectors(small_model(), [[4, 5], [4, 5]])
+        assert vectors.shape[0] == 2
+        np.testing.assert_array_equal(vectors[0], vectors[1])
 
     def test_zero_facts(self):
-        summary = encode_facts(small_model(), [])
-        assert summary.count == 0
+        session = DecodingSession(small_model(), [4, 5], [])
+        assert session.e_cols.shape[1] == 2        # context columns only
 
-    def test_empty_fact_skipped_with_warning(self, caplog):
+    def test_empty_fact_skipped(self):
         model = small_model()
-        with caplog.at_level(logging.WARNING):
-            summary = encode_facts(model, [[], [4]])
-        assert summary.count == 1
-        assert any("empty fact" in r.message for r in caplog.records)
+        skipped = DecodingSession(model, [4, 5], [[], [4]])
+        alone = DecodingSession(model, [4, 5], [[4]])
+        assert skipped.e_cols.shape[1] == 3
+        np.testing.assert_array_equal(skipped.e_cols, alone.e_cols)
 
 
 class TestAttentionStep:
     def test_identical_columns_uniform(self):
         col = np.array([0.3, -0.8])
         e = np.stack([col, col, col], axis=1)
-        a, c, v = attention_step(e, np.array([0.5, 1.0]))
+        a, c, v = attend(e, np.array([0.5, 1.0]))
         np.testing.assert_allclose(a, [1 / 3] * 3, atol=1e-12)
         np.testing.assert_allclose(c, col, atol=1e-12)
 
     def test_single_column(self):
         e = np.array([[1.5], [-0.2]])
-        a, c, _ = attention_step(e, np.array([0.1, 0.9]))
+        a, c, _ = attend(e, np.array([0.1, 0.9]))
         np.testing.assert_allclose(a, [1.0], atol=1e-15)
         np.testing.assert_allclose(c, e[:, 0], atol=1e-15)
 
@@ -115,47 +158,46 @@ class TestAttentionStep:
         # E = I2, s = (ln2, 0): a = softmax((ln2, 0)) = (2/3, 1/3); c = E a = a
         e = np.eye(2)
         s = np.array([math.log(2.0), 0.0])
-        a, c, v = attention_step(e, s)
+        a, c, v = attend(e, s)
         np.testing.assert_allclose(a, [2 / 3, 1 / 3], atol=1e-12)
         np.testing.assert_allclose(c, [2 / 3, 1 / 3], atol=1e-12)
         np.testing.assert_allclose(v, np.tanh(np.concatenate([s, c])), atol=1e-15)
 
     def test_features_strictly_inside_unit_box(self):
         rng = np.random.default_rng(3)
-        _, _, v = attention_step(rng.normal(size=(4, 6)), rng.normal(size=4))
+        _, _, v = attend(rng.normal(size=(4, 6)), rng.normal(size=4))
         assert np.all(np.abs(v) < 1.0)
 
     def test_no_columns_rejected(self):
         with pytest.raises(ValueError):
-            attention_step(np.zeros((3, 0)), np.zeros(3))
+            attend(np.zeros((3, 0)), np.zeros(3))
 
 
 class TestDecoderInit:
     def test_no_facts_uses_context_summary_only(self):
         model = small_model()
-        enc = encode_context(model, [4, 5])
-        s0 = decoder_init(model, enc, FactsSummary(np.zeros((0, model.config.hidden_size))))
-        want = enc.final @ model.bridge.w.data  # tanh then affine
-        want = np.tanh(enc.final) @ model.bridge.w.data + model.bridge.b.data
+        _, final = context_hiddens(model, [4, 5])
+        s0 = initial_state(model, [4, 5], [])
+        want = np.tanh(final) @ model.bridge.w.data + model.bridge.b.data
         np.testing.assert_allclose(s0, want, atol=1e-12)
 
     def test_zero_inputs_give_bridge_bias(self):
         model = small_model()
+        w = model.bridge.w.data.copy()
+        model.set_zero()                  # zero encoders: zero final state and fact vector
+        model.bridge.w.data[...] = w      # keep the bridge weights: the summary must be zero
         model.bridge.b.data[...] = np.arange(model.config.hidden_size) * 0.1
-        H = model.config.hidden_size
-        s0 = decoder_init(model, EncodedContext(np.zeros((1, H)), np.zeros(H)),
-                          FactsSummary(np.zeros((1, H))))
+        s0 = initial_state(model, [4, 5], [[6]])
         np.testing.assert_allclose(s0, model.bridge.b.data, atol=1e-15)
 
     def test_identity_bridge_scalar_case(self):
-        model = GeneratorModel(GeneratorConfig(6, embedding_size=3, hidden_size=1, dropout=0.0),
-                               np.random.default_rng(0))
+        model = GeneratorModel(gen_config(6, 3, 1), np.random.default_rng(0))
         model.bridge.w.data[...] = 1.0
         model.bridge.b.data[...] = 0.0
-        s0 = decoder_init(model, EncodedContext(np.ones((1, 1)), np.ones(1)),
-                          FactsSummary(np.ones((1, 1))))
-        assert s0[0] == pytest.approx(math.tanh(2.0), abs=1e-12)
-        assert s0[0] == pytest.approx(0.9640, abs=1e-4)
+        _, final = context_hiddens(model, [4])
+        fact = fact_vectors(model, [[5]])[0]
+        s0 = initial_state(model, [4], [[5]])
+        assert s0[0] == pytest.approx(math.tanh(final[0] + fact[0]), abs=1e-12)
 
 
 class TestDecodeStep:
@@ -163,7 +205,7 @@ class TestDecodeStep:
         model = small_model()
         model.set_zero()
         session = DecodingSession(model, [4, 5], [[6]])
-        probs, _ = decode_step(session, session.initial_state(), BOS_ID)
+        probs, _ = step_one(session, session.initial_state(), BOS_ID)
         np.testing.assert_allclose(probs, 1.0 / model.config.vocab_size, atol=1e-12)
 
     def test_distribution_sums_to_one(self):
@@ -172,7 +214,7 @@ class TestDecodeStep:
         state = session.initial_state()
         y = BOS_ID
         for _ in range(6):
-            probs, state = decode_step(session, state, y)
+            probs, state = step_one(session, state, y)
             assert abs(probs.sum() - 1.0) < 1e-9
             assert np.all(probs >= 0.0)
             y = int(np.argmax(probs))
@@ -180,20 +222,17 @@ class TestDecodeStep:
     def test_invalid_token_rejected(self):
         model = small_model()
         session = DecodingSession(model, [4])
-        with pytest.raises(ValueError):
-            decode_step(session, session.initial_state(), model.config.vocab_size)
+        with pytest.raises(IndexError):
+            step_one(session, session.initial_state(), model.config.vocab_size)
 
     def test_attention_weights_sum_to_one_and_context_in_hull(self):
         model = small_model(seed=9)
-        ids = [4, 7, 5]
-        facts = [[6], [8, 9]]
-        enc = encode_context(model, ids)
-        fs = encode_facts(model, facts)
-        e = np.concatenate([enc.hidden, fs.vectors], axis=0).T   # (H, L+F)
+        session = DecodingSession(model, [4, 7, 5], [[6], [8, 9]])
+        e = session.e_cols[0].T                                   # (H, L+F)
         rng = np.random.default_rng(0)
         for _ in range(10):
             s = rng.normal(size=model.config.hidden_size)
-            a, c, _ = attention_step(e, s)
+            a, c, _ = attend(e, s)
             assert abs(a.sum() - 1.0) < 1e-9
             assert np.all(c <= e.max(axis=1) + 1e-12)
             assert np.all(c >= e.min(axis=1) - 1e-12)
@@ -248,7 +287,7 @@ class TestNllLoss:
         logprob = 0.0
         y_prev = BOS_ID
         for y in tgt:
-            probs, state = decode_step(session, state, y_prev)
+            probs, state = step_one(session, state, y_prev)
             logprob += math.log(probs[y])
             y_prev = y
         assert math.exp(-float(loss.data)) == pytest.approx(math.exp(logprob), rel=1e-10)
@@ -293,11 +332,11 @@ def enumerate_hypotheses(session, max_len, content_tokens):
             y_prev = BOS_ID
             ll = 0.0
             for tok in seq:
-                probs, state = decode_step(session, state, y_prev)
+                probs, state = step_one(session, state, y_prev)
                 ll += math.log(probs[tok])
                 y_prev = tok
             if length < max_len:
-                probs, _ = decode_step(session, state, y_prev)
+                probs, _ = step_one(session, state, y_prev)
                 ll += math.log(probs[EOS_ID])
                 norm_len = length + 1
             else:
@@ -313,13 +352,13 @@ class TestBeamSearch:
     def test_beam_one_equals_argmax_chain(self):
         model = small_model(seed=29)
         ctx, facts = [4, 5], [[6]]
-        got = greedy_decode(model, ctx, facts, max_len=8)
+        got = beam_search(model, ctx, facts, beam_size=1, max_len=8)[0][0]
         session = DecodingSession(model, ctx, facts)
         state = session.initial_state()
         y_prev = BOS_ID
         want = []
         for _ in range(8):
-            probs, state = decode_step(session, state, y_prev)
+            probs, state = step_one(session, state, y_prev)
             probs[[PAD_ID, UNK_ID, BOS_ID]] = -1.0
             tok = int(np.argmax(probs))
             if tok == EOS_ID:
@@ -347,7 +386,7 @@ class TestBeamSearch:
 
     def test_bad_beam_rejected(self):
         with pytest.raises(ValueError):
-            beam_search(small_model(), [4], beam_size=0)
+            beam_search(small_model(), [4], None, beam_size=0, max_len=5)
 
     def test_scores_are_nonpositive(self):
         model = small_model(seed=41)
@@ -390,10 +429,9 @@ class TestTrainGenerator:
 
     def test_memorizes_tiny_corpus(self):
         examples = self.toy_examples()
-        model = GeneratorModel(GeneratorConfig(14, embedding_size=24, hidden_size=24,
-                                               dropout=0.0), np.random.default_rng(1))
-        tcfg = GeneratorTrainConfig(learning_rate=5e-3, validate_every=50, batch_size=6,
-                                    max_steps=800, seed=1, target_ppl=1.15)
+        model = GeneratorModel(gen_config(14, 24, 24), np.random.default_rng(1))
+        tcfg = train_config(learning_rate=5e-3, validate_every=50, batch_size=6,
+                            max_steps=800, seed=1, target_ppl=1.15)
         log = train_generator(model, examples, examples, tcfg)
         assert log.best_metric < 1.2
         assert perplexity(model, examples) < 1.2
@@ -402,10 +440,9 @@ class TestTrainGenerator:
         examples = self.toy_examples()
 
         def run():
-            model = GeneratorModel(GeneratorConfig(14, embedding_size=8, hidden_size=8,
-                                                   dropout=0.1), np.random.default_rng(3))
-            tcfg = GeneratorTrainConfig(learning_rate=2e-3, validate_every=10, batch_size=3,
-                                        max_steps=30, seed=7)
+            model = GeneratorModel(gen_config(14, 8, 8, dropout=0.1), np.random.default_rng(3))
+            tcfg = train_config(learning_rate=2e-3, validate_every=10, batch_size=3,
+                                max_steps=30, seed=7)
             return train_generator(model, examples, examples, tcfg).history
 
         assert run() == run()
@@ -413,11 +450,10 @@ class TestTrainGenerator:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_aborts(self):
         examples = self.toy_examples()
-        model = GeneratorModel(GeneratorConfig(14, embedding_size=6, hidden_size=6,
-                                               dropout=0.0), np.random.default_rng(0))
+        model = GeneratorModel(gen_config(14, 6, 6), np.random.default_rng(0))
         model.out_proj.b.data[0] = np.inf
-        tcfg = GeneratorTrainConfig(learning_rate=1e-3, validate_every=10, batch_size=2,
-                                    max_steps=5, seed=0)
+        tcfg = train_config(learning_rate=1e-3, validate_every=10, batch_size=2,
+                            max_steps=5, seed=0)
         with pytest.raises(RuntimeError, match="diverged"):
             train_generator(model, examples, examples, tcfg)
 

@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import pytest
 
 from hybridchat.metrics import GENERATED, RETRIEVED
 from hybridchat.pipeline import (
+    DESK_OVERRIDES,
     Artifacts,
     PipelineConfig,
     build_pool,
@@ -122,6 +124,34 @@ class TestConfig:
     def test_missing_file_rejected(self):
         with pytest.raises(FileNotFoundError):
             PipelineConfig.from_file("/nonexistent/config.ini")
+
+    def test_unparsable_number_names_key(self):
+        with pytest.raises(ValueError, match=r"\[ranker\] batch_size"):
+            PipelineConfig.from_sections({"ranker": {"batch_size": "abc"}})
+        with pytest.raises(ValueError, match=r"\[retrieval\] bm25_k1"):
+            PipelineConfig.from_sections({"retrieval": {"bm25_k1": "1,2"}})
+
+    def test_boolean_words(self):
+        for text, want in (("on", True), ("off", False), ("TRUE", True), ("false", False),
+                           ("yes", True), ("no", False), ("1", True), ("0", False)):
+            cfg = PipelineConfig.from_sections({"generator": {"facts": text}})
+            assert cfg.gen_facts is want, text
+        for text in ("of", "2", ""):
+            with pytest.raises(ValueError, match=r"\[generator\] facts"):
+                PipelineConfig.from_sections({"generator": {"facts": text}})
+
+    def test_golden_hashes_and_init_config_text(self):
+        # values of the hand-mapped config that the field table replaced
+        assert PipelineConfig.from_sections({}).config_hash() == (
+            "898f56e848aac96386444877882c622e7b5dbf5dc0c609794ecf441943c23834")
+        assert PipelineConfig.from_sections(DESK_OVERRIDES).config_hash() == (
+            "f717bedda4b23762c248ede4a9e8d921c1816ef4ab3d90321e088a069767d1bc")
+        text_sha = {desk: hashlib.sha256(default_config_text(desk=desk).encode()).hexdigest()
+                    for desk in (False, True)}
+        assert text_sha[False] == (
+            "39669633947b189c95cd39d94a94d3690b91d18b5376b535043f2ac9706e117a")
+        assert text_sha[True] == (
+            "e1b9fec1460992e2312cec3039f0fd6ff25a5e1630b8504256f65e9ad4d00e9e")
 
 
 class TestSynthCorpus:
@@ -296,4 +326,7 @@ class TestCandidateJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"context": "hi"}\n')
         with pytest.raises(ValueError, match="candidates"):
+            read_candidates_jsonl(str(path))
+        path.write_text('{"context": "hi", "candidates": [{"provenance": "retrieved"}]}\n')
+        with pytest.raises(ValueError, match=r"bad.jsonl:1: missing field 'text'"):
             read_candidates_jsonl(str(path))

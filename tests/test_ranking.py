@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridchat.metrics import GENERATED, RETRIEVED
-from hybridchat.nncore import Tensor, grad_check
+from hybridchat.nncore import Tensor, grad_check, no_grad
 from hybridchat.ranking import (
     Candidate,
     CandidateSet,
@@ -13,27 +13,59 @@ from hybridchat.ranking import (
     RankerTrainConfig,
     SupervisionConfig,
     TrainingTriple,
-    cnn_forward,
+    _cnn_graph,
+    _interaction_graph,
     encode_triples,
     hinge_loss,
-    interaction_matrix,
     make_distant_labels,
     make_training_triples,
+    pad_ids,
     pairwise_accuracy,
     rerank,
-    score,
     score_batch,
     train_ranker,
 )
+from hybridchat.pipeline import PipelineConfig
 from hybridchat.synth import separability_data
 from hybridchat.textcore import UNK_ID, Corpus, ConversationExample, Vocabulary
 
 
+def ranker_config(vocab, emb, matrix, kernels, conv, pool, mlp, dropout):
+    return RankerConfig(vocab, embedding_size=emb, matrix_size=matrix, conv_kernels=kernels,
+                        conv_window=conv, pool_window=pool, conv_stages=1, mlp_hidden=mlp,
+                        dropout=dropout)
+
+
+def train_config(**kwargs):
+    return RankerTrainConfig(**{"patience": 10, "margin": 1.0, "l2_coeff": 0.0, **kwargs})
+
+
 def tiny_model(vocab=12, emb=4, matrix=4, kernels=2, conv=(2, 2), pool=(2, 2), seed=0,
                mlp=6, dropout=0.0):
-    cfg = RankerConfig(vocab, embedding_size=emb, matrix_size=matrix, conv_kernels=kernels,
-                       conv_window=conv, pool_window=pool, mlp_hidden=mlp, dropout=dropout)
+    cfg = ranker_config(vocab, emb, matrix, kernels, conv, pool, mlp, dropout)
     return RankerModel(cfg, np.random.default_rng(seed))
+
+
+def grid_of(model, ctx_ids, cand_ids):
+    """Interaction grid of one padded context/candidate pair."""
+    L = model.config.matrix_size
+    with no_grad():
+        m = _interaction_graph(model, pad_ids(ctx_ids, L)[None], pad_ids(cand_ids, L)[None])
+    return m.data[0, 0]
+
+
+def cnn_features(model, matrix):
+    """CNN feature vector of one interaction grid."""
+    with no_grad():
+        return _cnn_graph(model, Tensor(np.asarray(matrix, dtype=np.float64)[None, None])).data[0]
+
+
+def score_pair(model, ctx_ids, cand_ids):
+    """score_batch of one padded context/candidate pair."""
+    L = model.config.matrix_size
+    with no_grad():
+        s = score_batch(model, pad_ids(ctx_ids, L)[None], pad_ids(cand_ids, L)[None])
+    return float(s.data[0])
 
 
 class TestInteractionMatrix:
@@ -42,7 +74,7 @@ class TestInteractionMatrix:
         model.embedding.data[...] = 0.0
         model.embedding.data[4] = [1.0, 0.0]   # a
         model.embedding.data[5] = [0.0, 1.0]   # b
-        m = interaction_matrix(model, [4, 5], [5])
+        m = grid_of(model, [4, 5], [5])
         assert m[0, 0] == 0.0 and m[1, 0] == 1.0
         assert np.all(m[2:] == 0.0) and np.all(m[:, 1:] == 0.0)
 
@@ -53,13 +85,13 @@ class TestInteractionMatrix:
             v = rng.normal(size=3)
             model.embedding.data[i] = v / np.linalg.norm(v)
         ids = [4, 5, 6, 7]
-        m = interaction_matrix(model, ids, ids)
+        m = grid_of(model, ids, ids)
         np.testing.assert_allclose(np.diag(m)[:4], 1.0, atol=1e-12)
 
     def test_zero_unk_embedding_zero_row_col(self):
         model = tiny_model()
         model.embedding.data[UNK_ID] = 0.0
-        m = interaction_matrix(model, [4, UNK_ID, 5], [UNK_ID, 6])
+        m = grid_of(model, [4, UNK_ID, 5], [UNK_ID, 6])
         assert np.all(m[1, :] == 0.0)
         assert np.all(m[:, 0] == 0.0)
 
@@ -67,15 +99,8 @@ class TestInteractionMatrix:
         model = tiny_model(seed=3)
         a, b = [4, 5, 6], [7, 8]
         np.testing.assert_allclose(
-            interaction_matrix(model, a, b).T, interaction_matrix(model, b, a), atol=1e-15
+            grid_of(model, a, b).T, grid_of(model, b, a), atol=1e-15
         )
-
-    def test_empty_inputs_rejected(self):
-        model = tiny_model()
-        with pytest.raises(ValueError):
-            interaction_matrix(model, [4], [])
-        with pytest.raises(ValueError):
-            interaction_matrix(model, [], [4])
 
 
 class TestCnnForward:
@@ -83,7 +108,7 @@ class TestCnnForward:
         model = tiny_model(matrix=2, kernels=1, conv=(1, 1), pool=(2, 2))
         model.conv_kernels[0].data[...] = 1.0
         model.conv_biases[0].data[...] = 0.0
-        feats = cnn_forward(model, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        feats = cnn_features(model, np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_allclose(feats, [4.0], atol=1e-15)
 
     def test_zero_kernels_zero_features(self):
@@ -91,7 +116,7 @@ class TestCnnForward:
         model.conv_kernels[0].data[...] = 0.0
         model.conv_biases[0].data[...] = 0.0
         rng = np.random.default_rng(0)
-        feats = cnn_forward(model, rng.normal(size=(4, 4)))
+        feats = cnn_features(model, rng.normal(size=(4, 4)))
         np.testing.assert_array_equal(feats, np.zeros_like(feats))
 
     def test_hand_evaluated_conv_map(self):
@@ -109,7 +134,7 @@ class TestCnnForward:
                     for t in range(2):
                         acc += kernel[s, t] * m[i + s, j + t]
                 conv_map[i, j] = max(acc, 0.0)
-        feats = cnn_forward(model, m)
+        feats = cnn_features(model, m)
         np.testing.assert_allclose(feats, [conv_map.max()], atol=1e-12)
 
     def test_dominated_values_do_not_matter(self):
@@ -118,7 +143,7 @@ class TestCnnForward:
         model.conv_biases[0].data[...] = 0.0
         base = np.array([[1.0, 2.0], [3.0, 9.0]])
         tweaked = np.array([[0.5, 2.5], [1.0, 9.0]])
-        np.testing.assert_array_equal(cnn_forward(model, base), cnn_forward(model, tweaked))
+        np.testing.assert_array_equal(cnn_features(model, base), cnn_features(model, tweaked))
 
     def test_too_small_matrix_rejected_at_build(self):
         with pytest.raises(ValueError):
@@ -129,7 +154,7 @@ class TestCnnForward:
     def test_wrong_shape_rejected(self):
         model = tiny_model(matrix=4)
         with pytest.raises(ValueError):
-            cnn_forward(model, np.zeros((3, 3)))
+            cnn_features(model, np.zeros((1, 1)))       # smaller than the 2x2 kernel
 
 
 class TestScore:
@@ -137,27 +162,25 @@ class TestScore:
         model = tiny_model()
         model.set_zero()
         model.out.b.data[...] = 0.75
-        assert score(model, [4, 5], [6]) == pytest.approx(0.75, abs=1e-15)
-        assert score(model, [7], [8, 9, 10]) == pytest.approx(0.75, abs=1e-15)
+        assert score_pair(model, [4, 5], [6]) == pytest.approx(0.75, abs=1e-15)
+        assert score_pair(model, [7], [8, 9, 10]) == pytest.approx(0.75, abs=1e-15)
 
     def test_stateless_per_pair(self):
         model = tiny_model(seed=7)
-        a = score(model, [4, 5], [6, 7])
-        _ = score(model, [4, 5], [8, 9])
-        b = score(model, [4, 5], [6, 7])
+        a = score_pair(model, [4, 5], [6, 7])
+        _ = score_pair(model, [4, 5], [8, 9])
+        b = score_pair(model, [4, 5], [6, 7])
         assert a == b
 
     def test_batch_matches_single(self):
         model = tiny_model(seed=9)
-        from hybridchat.ranking import pad_ids
         L = model.config.matrix_size
         ctx = np.stack([pad_ids([4, 5], L), pad_ids([6], L)])
         cand = np.stack([pad_ids([7, 8], L), pad_ids([9], L)])
-        from hybridchat.nncore import no_grad
         with no_grad():
             batch_scores = score_batch(model, ctx, cand).data
-        assert batch_scores[0] == pytest.approx(score(model, [4, 5], [7, 8]), abs=1e-12)
-        assert batch_scores[1] == pytest.approx(score(model, [6], [9]), abs=1e-12)
+        assert batch_scores[0] == pytest.approx(score_pair(model, [4, 5], [7, 8]), abs=1e-12)
+        assert batch_scores[1] == pytest.approx(score_pair(model, [6], [9]), abs=1e-12)
 
 
 class TestHingeLoss:
@@ -180,9 +203,9 @@ class TestHingeLoss:
         assert float(loss.data) == pytest.approx(want, rel=1e-12)
 
     def test_monotonicity(self):
-        base = float(hinge_loss(Tensor(np.array([0.2])), Tensor(np.array([0.5]))).data)
-        up_pos = float(hinge_loss(Tensor(np.array([0.3])), Tensor(np.array([0.5]))).data)
-        up_neg = float(hinge_loss(Tensor(np.array([0.2])), Tensor(np.array([0.6]))).data)
+        base = float(hinge_loss(Tensor(np.array([0.2])), Tensor(np.array([0.5])), 1.0).data)
+        up_pos = float(hinge_loss(Tensor(np.array([0.3])), Tensor(np.array([0.5])), 1.0).data)
+        up_neg = float(hinge_loss(Tensor(np.array([0.2])), Tensor(np.array([0.6])), 1.0).data)
         assert up_pos < base < up_neg
 
     def test_kink_subgradient_is_zero(self):
@@ -219,7 +242,8 @@ class TestDistantLabels:
             self.overlap_candidate(0, "d", rank=4),
         ])
         for signal in ("bleu1", "bleu2", "rougel", "sentbleu"):
-            pos, neg = make_distant_labels(pool, self.GT, SupervisionConfig(signal=signal))
+            sup = SupervisionConfig(signal=signal, k_prime=3)
+            pos, neg = make_distant_labels(pool, self.GT, sup)
             assert any(p.tokens == self.GT for p in pos), signal
 
     def test_zero_overlap_tiebreak_by_provenance_then_rank(self):
@@ -229,7 +253,7 @@ class TestDistantLabels:
             self.overlap_candidate(0, "r1", RETRIEVED, 1),
             self.overlap_candidate(0, "r3", RETRIEVED, 3),
         ])
-        pos, neg = make_distant_labels(pool, self.GT, SupervisionConfig(k_prime=2))
+        pos, neg = make_distant_labels(pool, self.GT, SupervisionConfig(signal="bleu1", k_prime=2))
         assert pos[0].provenance == GENERATED
         assert pos[1].rank == 1
         assert {c.rank for c in neg} == {2, 3}
@@ -249,7 +273,7 @@ class TestDistantLabels:
         signals = sorted((SIGNALS["bleu1"](c.tokens, gt) for c in pool.candidates),
                          reverse=True)
         assert signals == pytest.approx([0.9, 0.5, 0.5, 0.1], abs=1e-12)
-        pos, neg = make_distant_labels(pool, gt, SupervisionConfig(k_prime=3))
+        pos, neg = make_distant_labels(pool, gt, SupervisionConfig(signal="bleu1", k_prime=3))
         assert pos[0].provenance == GENERATED          # 0.9
         assert pos[1].rank == 2 and pos[2].rank == 3   # tied 0.5 pair by rank
         assert neg[0].rank == 1                        # 0.1 loser
@@ -260,7 +284,7 @@ class TestDistantLabels:
             Candidate(gt[:n] + [f"y{n}{i}" for i in range(8 - n)], RETRIEVED, r)
             for n, r in [(7, 1), (5, 2), (3, 3), (2, 4), (1, 5)]
         ]
-        cfg = SupervisionConfig(k_prime=3)
+        cfg = SupervisionConfig(signal="bleu1", k_prime=3)
         base_pos, _ = make_distant_labels(make_pool(cands), gt, cfg)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -271,7 +295,7 @@ class TestDistantLabels:
     def test_pool_too_small_rejected(self):
         pool = make_pool([cand(["a"]), cand(["b"])])
         with pytest.raises(ValueError):
-            make_distant_labels(pool, ["a"], SupervisionConfig(k_prime=2))
+            make_distant_labels(pool, ["a"], SupervisionConfig(signal="bleu1", k_prime=2))
 
 
 class TestTrainingTriples:
@@ -312,7 +336,7 @@ class TestRerank:
         corpus = Corpus([ConversationExample(
             "hello there pizza dumplings great spicy".split(),
             "try the pizza".split())])
-        return Vocabulary.build(corpus)
+        return Vocabulary.build(corpus, max_size=0)
 
     def test_single_candidate_chosen(self):
         model, vocab = tiny_model(vocab=20, seed=11), self.make_vocab()
@@ -344,7 +368,7 @@ class TestRerank:
         from hybridchat.textcore import encode
         oracle = []
         for c in pool.candidates:
-            s = score(model, encode(pool.context, vocab), encode(c.tokens, vocab))
+            s = score_pair(model, encode(pool.context, vocab, 30), encode(c.tokens, vocab, 30))
             oracle.append((s, c))
         oracle.sort(key=lambda item: (-item[0],) + item[1].sort_key())
         assert [c.tokens for c in result.ranked] == [c.tokens for _, c in oracle]
@@ -403,11 +427,10 @@ class TestTrainRanker:
     def test_separates_copy_from_disjoint(self):
         triples, tokens = separability_data(80, seed=3)
         vocab = self.build_vocab(tokens)
-        cfg = RankerConfig(len(vocab), embedding_size=16, matrix_size=12, conv_kernels=8,
-                           conv_window=(3, 3), pool_window=(3, 3), mlp_hidden=32, dropout=0.5)
+        cfg = ranker_config(len(vocab), 16, 12, 8, (3, 3), (3, 3), 32, 0.5)
         model = RankerModel(cfg, np.random.default_rng(5))
-        tcfg = RankerTrainConfig(learning_rate=3e-3, batch_size=24, validate_every=25,
-                                 max_steps=400, seed=5, target_accuracy=0.97)
+        tcfg = train_config(learning_rate=3e-3, batch_size=24, validate_every=25,
+                            max_steps=400, seed=5, target_accuracy=0.97)
         held_out, _ = separability_data(60, seed=99)
         log = train_ranker(model, triples, held_out, vocab, tcfg)
         acc = pairwise_accuracy(model, encode_triples(held_out, vocab, 12))
@@ -418,22 +441,30 @@ class TestTrainRanker:
         vocab = self.build_vocab(tokens)
 
         def run(lam):
-            cfg = RankerConfig(len(vocab), embedding_size=8, matrix_size=8, conv_kernels=4,
-                               conv_window=(2, 2), pool_window=(2, 2), mlp_hidden=8,
-                               dropout=0.0)
+            cfg = ranker_config(len(vocab), 8, 8, 4, (2, 2), (2, 2), 8, 0.0)
             model = RankerModel(cfg, np.random.default_rng(11))
-            tcfg = RankerTrainConfig(learning_rate=1e-3, batch_size=10, validate_every=50,
-                                     max_steps=50, l2_coeff=lam, seed=11)
+            tcfg = train_config(learning_rate=1e-3, batch_size=10, validate_every=50,
+                                max_steps=50, l2_coeff=lam, seed=11)
             train_ranker(model, triples, triples, vocab, tcfg)
             return sum(float((p.data ** 2).sum()) for p in model.params.values())
 
         assert run(1e3) < run(0.0)
 
+    def test_bad_margin_and_l2_rejected(self):
+        triples, tokens = separability_data(4, seed=7)
+        vocab = self.build_vocab(tokens)
+        model = tiny_model(vocab=len(vocab))
+        for bad in ({"margin": 0.0}, {"l2_coeff": -1e-3}):
+            tcfg = train_config(learning_rate=1e-3, batch_size=2, validate_every=1,
+                                max_steps=1, **bad)
+            with pytest.raises(ValueError, match="margin|l2"):
+                train_ranker(model, triples, triples, vocab, tcfg)
+
     def test_no_triples_rejected(self):
         vocab = self.build_vocab(["a"])
         model = tiny_model(vocab=len(vocab))
         with pytest.raises(ValueError):
-            train_ranker(model, [], [], vocab, RankerTrainConfig())
+            train_ranker(model, [], [], vocab, PipelineConfig().ranker_train_config(0))
 
 
 class TestRankerCheckpoint:
@@ -447,9 +478,9 @@ class TestRankerCheckpoint:
         assert loaded.config == model.config
 
     def test_kind_mismatch_rejected(self, tmp_path):
-        from hybridchat.generation import GeneratorConfig, GeneratorModel
-        gen = GeneratorModel(GeneratorConfig(8, embedding_size=4, hidden_size=4),
-                             np.random.default_rng(0))
+        from hybridchat.generation import GeneratorModel
+        gen = GeneratorModel(PipelineConfig(gen_embedding_size=4, gen_hidden_size=4)
+                             .generator_config(8), np.random.default_rng(0))
         path = str(tmp_path / "gen.ckpt")
         gen.save(path, vocab_hash="vh")
         with pytest.raises(ValueError, match="generator"):

@@ -53,7 +53,7 @@ class TestVocabulary:
         assert vocab.id_of("a") < vocab.id_of("b")
 
     def test_min_count_threshold(self):
-        vocab = Vocabulary.build(make_corpus([("a b", "a b")]), min_count=3)
+        vocab = Vocabulary.build(make_corpus([("a b", "a b")]), max_size=0, min_count=3)
         assert len(vocab) == 4  # reserved only
 
     def test_max_size_keeps_frequency_then_lex_winner(self):
@@ -64,28 +64,28 @@ class TestVocabulary:
         assert vocab.id_of("y") == UNK_ID
 
     def test_reserved_ids_fixed(self):
-        vocab = Vocabulary.build(make_corpus([("a", "b")]))
+        vocab = Vocabulary.build(make_corpus([("a", "b")]), max_size=0)
         assert vocab.id_to_token[:4] == list(RESERVED_TOKENS)
         assert (PAD_ID, UNK_ID, BOS_ID, EOS_ID) == (0, 1, 2, 3)
 
     def test_dense_ids_and_roundtrip(self):
-        vocab = Vocabulary.build(make_corpus([("c a b", "b c c")]))
+        vocab = Vocabulary.build(make_corpus([("c a b", "b c c")]), max_size=0)
         assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
         for tok in ("a", "b", "c"):
             assert vocab.token_of(vocab.id_of(tok)) == tok
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            Vocabulary.build(Corpus([]))
+            Vocabulary.build(Corpus([]), max_size=0)
 
     def test_deterministic(self):
         lines = [("the cat sat", "on the mat"), ("a cat", "a hat")]
-        v1 = Vocabulary.build(make_corpus(lines))
-        v2 = Vocabulary.build(make_corpus(lines))
+        v1 = Vocabulary.build(make_corpus(lines), max_size=0)
+        v2 = Vocabulary.build(make_corpus(lines), max_size=0)
         assert v1.id_to_token == v2.id_to_token
 
     def test_save_load_roundtrip(self, tmp_path):
-        vocab = Vocabulary.build(make_corpus([("a b c", "d e")]))
+        vocab = Vocabulary.build(make_corpus([("a b c", "d e")]), max_size=0)
         path = tmp_path / "vocab.txt"
         vocab.save(str(path))
         loaded = Vocabulary.load(str(path))
@@ -96,13 +96,13 @@ class TestVocabulary:
 class TestEncode:
     @pytest.fixture
     def vocab(self):
-        return Vocabulary.build(make_corpus([("a b c", "d")]))
+        return Vocabulary.build(make_corpus([("a b c", "d")]), max_size=0)
 
     def test_identity_lookup(self, vocab):
-        assert encode(["a"], vocab) == [vocab.id_of("a")]
+        assert encode(["a"], vocab, 30) == [vocab.id_of("a")]
 
     def test_unk(self, vocab):
-        assert encode(["zzz-unseen"], vocab) == [UNK_ID]
+        assert encode(["zzz-unseen"], vocab, 30) == [UNK_ID]
 
     def test_clipping(self, vocab):
         ids = encode(["a"] * 40, vocab, max_len=30)
@@ -114,7 +114,7 @@ class TestEncode:
 
     def test_roundtrip_in_vocab(self, vocab):
         toks = ["a", "c", "b"]
-        assert decode(encode(toks, vocab), vocab) == toks
+        assert decode(encode(toks, vocab, 30), vocab) == toks
 
 
 class TestLoadCorpus:
