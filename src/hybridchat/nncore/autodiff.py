@@ -5,6 +5,12 @@ closure; ops build a tape implicitly through parent links.  Only the
 operations the two models in this package need are provided.  Gradients
 are accumulated into leaf :class:`Parameter` objects until explicitly
 cleared, mirroring the usual train-step pattern.
+
+A graph backpropagates once.  :meth:`Tensor.backward` releases each node
+as soon as its gradient has been pushed to its parents, so after the call
+``.grad`` is set on leaves only (parameters and ``requires_grad`` inputs)
+and the tape is freed by reference counting; a second ``backward()``
+through the same graph raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -56,9 +62,17 @@ class Tensor:
     # -- graph traversal ---------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar: fills .grad on every reachable node."""
+        """Backpropagate from a scalar into the leaves' .grad, freeing the graph.
+
+        Gradients are allocated just before the first contribution to them.
+        Each interior node is released once its backward closure has run:
+        its closure and parent links are dropped and its .grad is cleared,
+        so only leaves keep a gradient and the graph cannot be walked again.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
+        if self._backward is _released:
+            _released()
         topo: list[Tensor] = []
         visited = {id(self)}
         stack: list[tuple[Tensor, object]] = [(self, iter(self.parents))]
@@ -74,13 +88,19 @@ class Tensor:
             if not advanced:
                 topo.append(node)
                 stack.pop()
-        for node in topo:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        self.grad = self.grad + np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
+        ones = np.ones_like(self.data)
+        self.grad = ones if self.grad is None else self.grad + ones
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            for p in node.parents:
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
+            node._backward()
+            node._backward = _released
+            node.parents = ()
+            node.grad = None
 
     # -- operator sugar ----------------------------------------------------
 
@@ -125,6 +145,13 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
+
+
+def _released() -> None:
+    raise RuntimeError(
+        "backward() through a graph that was already backpropagated; "
+        "rebuild the loss to backpropagate again"
+    )
 
 
 def _wrap(x) -> Tensor:

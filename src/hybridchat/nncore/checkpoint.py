@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -34,9 +36,33 @@ def _write_str(fh, s: str) -> None:
     fh.write(raw)
 
 
-def _read_str(fh) -> str:
-    (n,) = struct.unpack("<I", fh.read(4))
-    return fh.read(n).decode("utf-8")
+class BinaryReader:
+    """Reads the fields of a binary file, never past its end.
+
+    Each read is checked against the bytes left in the file, so a
+    truncated file raises EOFError, and a corrupt length field never makes
+    the reader allocate more than the file holds.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def read(self, n: int) -> bytes:
+        if n > self.left:
+            raise EOFError(f"needed {n} bytes, {self.left} left")
+        raw = self._fh.read(n)
+        if len(raw) != n:
+            raise EOFError(f"needed {n} bytes, file ended after {len(raw)}")
+        self.left -= n
+        return raw
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def read_str(self) -> str:
+        (n,) = self.unpack("<I")
+        return self.read(n).decode("utf-8")
 
 
 def _write_array(fh, arr: np.ndarray) -> None:
@@ -47,13 +73,13 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr).tobytes())
 
 
-def _read_array(fh) -> np.ndarray:
-    (code,) = struct.unpack("<B", fh.read(1))
-    (ndim,) = struct.unpack("<I", fh.read(4))
-    shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
+def _read_array(reader: BinaryReader) -> np.ndarray:
+    (code,) = reader.unpack("<B")
+    (ndim,) = reader.unpack("<I")
+    shape = reader.unpack(f"<{ndim}Q")
     dtype = np.dtype(_DTYPES[code])
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype)
+    count = math.prod(shape)
+    data = np.frombuffer(reader.read(count * dtype.itemsize), dtype=dtype)
     return data.reshape(shape).copy()
 
 
@@ -90,32 +116,47 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> dict:
-    """Returns {kind, vocab_hash, config, params, optimizer_state or None}."""
+    """Returns {kind, vocab_hash, config, params, optimizer_state or None}.
+
+    Raises ValueError naming `path` when the file is not a checkpoint, has
+    another version, or is truncated or corrupt.
+    """
     with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
+        if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        kind = _read_str(fh)
-        vocab_hash = _read_str(fh)
-        config = json.loads(_read_str(fh))
-        (n_params,) = struct.unpack("<I", fh.read(4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_params):
-            name = _read_str(fh)
-            params[name] = _read_array(fh)
-        (has_opt,) = struct.unpack("<B", fh.read(1))
-        opt = None
-        if has_opt:
-            (t,) = struct.unpack("<Q", fh.read(8))
-            lr, beta1, beta2, eps = struct.unpack("<dddd", fh.read(32))
-            m = {}
-            v = {}
-            for name in params:
-                m[name] = _read_array(fh)
-                v[name] = _read_array(fh)
-            opt = {"t": t, "lr": lr, "beta1": beta1, "beta2": beta2, "eps": eps, "m": m, "v": v}
+        reader = BinaryReader(fh)
+        try:
+            (version,) = reader.unpack("<I")
+            if version != VERSION:
+                raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            blob = _read_body(reader)
+        except (EOFError, KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: truncated or corrupt checkpoint ({exc!r})") from exc
+    if reader.left:
+        raise ValueError(f"{path}: truncated or corrupt checkpoint (trailing bytes)")
+    return blob
+
+
+def _read_body(reader: BinaryReader) -> dict:
+    kind = reader.read_str()
+    vocab_hash = reader.read_str()
+    config = json.loads(reader.read_str())
+    (n_params,) = reader.unpack("<I")
+    params: dict[str, np.ndarray] = {}
+    for _ in range(n_params):
+        name = reader.read_str()
+        params[name] = _read_array(reader)
+    (has_opt,) = reader.unpack("<B")
+    opt = None
+    if has_opt:
+        (t,) = reader.unpack("<Q")
+        lr, beta1, beta2, eps = reader.unpack("<dddd")
+        m = {}
+        v = {}
+        for name in params:
+            m[name] = _read_array(reader)
+            v[name] = _read_array(reader)
+        opt = {"t": t, "lr": lr, "beta1": beta1, "beta2": beta2, "eps": eps, "m": m, "v": v}
     return {"kind": kind, "vocab_hash": vocab_hash, "config": config,
             "params": params, "optimizer_state": opt}
 

@@ -12,6 +12,8 @@ import math
 import struct
 from dataclasses import dataclass
 
+from .nncore.checkpoint import BinaryReader
+
 DEFAULT_K = 9
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -136,33 +138,45 @@ class RepositoryIndex:
 
     @classmethod
     def load(cls, path: str) -> "RepositoryIndex":
+        """Read an index written by save(); ValueError naming `path` if it is bad."""
         with open(path, "rb") as fh:
-            if fh.read(8) != _MAGIC:
+            if fh.read(len(_MAGIC)) != _MAGIC:
                 raise ValueError(f"{path}: not an index file")
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != _VERSION:
-                raise ValueError(f"{path}: unsupported index version {version}")
-            k1, b = struct.unpack("<dd", fh.read(16))
-            index = cls(k1=k1, b=b)
-            (n,) = struct.unpack("<I", fh.read(4))
-            (index.avg_doc_length,) = struct.unpack("<d", fh.read(8))
-            index.doc_lengths = [struct.unpack("<I", fh.read(4))[0] for _ in range(n)]
-            for _ in range(n):
-                pair = []
-                for _ in range(2):
-                    (ln,) = struct.unpack("<I", fh.read(4))
-                    text = fh.read(ln).decode("utf-8")
-                    pair.append(text.split(" ") if text else [])
-                index.doc_store.append((pair[0], pair[1]))
-            (n_terms,) = struct.unpack("<I", fh.read(4))
-            for _ in range(n_terms):
-                (ln,) = struct.unpack("<I", fh.read(4))
-                term = fh.read(ln).decode("utf-8")
-                (n_post,) = struct.unpack("<I", fh.read(4))
-                index.postings[term] = [
-                    struct.unpack("<II", fh.read(8)) for _ in range(n_post)
-                ]
-        index.validate()
+            reader = BinaryReader(fh)
+            try:
+                (version,) = reader.unpack("<I")
+                if version != _VERSION:
+                    raise ValueError(f"{path}: unsupported index version {version}")
+                index = cls._read_body(reader)
+            except (EOFError, UnicodeDecodeError) as exc:
+                raise ValueError(f"{path}: truncated or corrupt index ({exc!r})") from exc
+        if reader.left:
+            raise ValueError(f"{path}: truncated or corrupt index (trailing bytes)")
+        try:
+            index.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: corrupt index ({exc})") from exc
+        return index
+
+    @classmethod
+    def _read_body(cls, reader: BinaryReader) -> "RepositoryIndex":
+        k1, b = reader.unpack("<dd")
+        index = cls(k1=k1, b=b)
+        (n,) = reader.unpack("<I")
+        (index.avg_doc_length,) = reader.unpack("<d")
+        index.doc_lengths = list(reader.unpack(f"<{n}I"))
+        for _ in range(n):
+            pair = []
+            for _ in range(2):
+                text = reader.read_str()
+                pair.append(text.split(" ") if text else [])
+            index.doc_store.append((pair[0], pair[1]))
+        (n_terms,) = reader.unpack("<I")
+        for _ in range(n_terms):
+            term = reader.read_str()
+            (n_post,) = reader.unpack("<I")
+            flat = reader.unpack(f"<{2 * n_post}I")
+            index.postings[term] = list(zip(flat[0::2], flat[1::2]))
         return index
 
 

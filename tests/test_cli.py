@@ -52,6 +52,12 @@ class TestStandaloneCommands:
         assert out["results"], "expected at least one retrieval hit"
         assert out["results"][0]["rank"] == 1
 
+        cut = str(tmp_path / "cut.idx")
+        with open(idx, "rb") as src, open(cut, "wb") as dst:
+            dst.write(src.read()[:20])
+        assert main(["retrieve", "--index", cut, "--query", "tacos"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cut}: ")
+
     def test_evaluate(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.jsonl"
         ref = tmp_path / "ref.jsonl"

@@ -1,4 +1,7 @@
+import gc
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -294,6 +297,64 @@ class TestOpGradients:
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
 
+class TestBackwardRelease:
+    def test_interior_node_freed_without_cyclic_gc(self):
+        w = Parameter(np.array([0.5, -1.0, 2.0]), "w")
+        gc.disable()
+        try:
+            h = ad.tanh(w * Tensor(np.arange(3.0)))
+            ref = weakref.ref(h.data)
+            loss = ad.sum_(h)
+            del h
+            loss.backward()
+            del loss
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_second_backward_raises(self):
+        w = Parameter(np.array([1.0, 2.0]), "w")
+        h = ad.sigmoid(w)
+        loss = ad.sum_(h)
+        loss.backward()
+        first = w.grad.copy()
+        with pytest.raises(RuntimeError):
+            loss.backward()
+        with pytest.raises(RuntimeError):
+            ad.sum_(h * 2.0).backward()
+        np.testing.assert_array_equal(w.grad, first)
+
+    def test_shared_node_sums_children_gradients(self):
+        rng = np.random.default_rng(17)
+        w = Parameter(rng.normal(size=4), "w")
+        a = Tensor(rng.normal(size=4))
+        branches = [
+            lambda h: ad.sum_(h * a),
+            lambda h: ad.sum_(h * h),
+            lambda h: ad.sum_(ad.exp(h)),
+        ]
+        by_hand = np.zeros(4)
+        for branch in branches:
+            w.grad = None
+            branch(ad.tanh(w)).backward()
+            by_hand += w.grad
+        w.grad = None
+        h = ad.tanh(w)
+        (branches[0](h) + branches[1](h) + branches[2](h)).backward()
+        np.testing.assert_allclose(w.grad, by_hand, rtol=1e-12, atol=0.0)
+
+    def test_leaves_keep_grad_interior_nodes_drop_it(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        w = Parameter(np.array([3.0, -1.0]), "w")
+        h = x * w
+        loss = ad.sum_(h * h)
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [18.0, 4.0])
+        np.testing.assert_array_equal(w.grad, [6.0, -8.0])
+        assert h.grad is None and loss.grad is None
+        assert h.parents == () and loss.parents == ()
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
@@ -339,6 +400,17 @@ class TestClipGlobalNorm:
         np.testing.assert_array_equal(p.grad, [0.1, 0.1])
 
 
+def small_checkpoint_bytes(tmp_path):
+    """A saved checkpoint with two dtypes and optimizer state, as bytes."""
+    full = tmp_path / "full.ckpt"
+    params = {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2, dtype=np.float32)}
+    opt_state = {"t": 3, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                 "m": {k: np.zeros_like(v) for k, v in params.items()},
+                 "v": {k: np.ones_like(v) for k, v in params.items()}}
+    save_checkpoint(str(full), "ranker", "cafe", {"k": 2}, params, opt_state)
+    return full.read_bytes()
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -372,6 +444,29 @@ class TestCheckpoint:
         p.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(ValueError):
             load_checkpoint(str(p))
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        raw = small_checkpoint_bytes(tmp_path)
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: "):
+                load_checkpoint(str(cut))
+        cut.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: .*trailing"):
+            load_checkpoint(str(cut))
+
+    def test_every_byte_flip_loads_or_names_the_file(self, tmp_path):
+        raw = small_checkpoint_bytes(tmp_path)
+        bad = tmp_path / "bad.ckpt"
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= 0xFF
+            bad.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(str(bad))
+            except ValueError as exc:
+                assert str(exc).startswith(f"{bad}: "), (i, str(exc))
 
 
 class TestLstmGradient:

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -220,6 +221,13 @@ class TestScoreLocality:
         np.testing.assert_allclose(got, s_ext, atol=1e-12)
 
 
+def small_index_bytes(tmp_path):
+    """A saved two-document index with a non-ASCII term, as bytes."""
+    full = tmp_path / "full.idx"
+    build_index(pairs("the café sat", "a dog barked")).save(str(full))
+    return full.read_bytes()
+
+
 class TestIndexPersistence:
     def test_roundtrip_bit_exact(self, tmp_path):
         index = build_index(pairs("the cat sat", "a dog barked", "cats and dogs"))
@@ -247,3 +255,34 @@ class TestIndexPersistence:
         p.write_bytes(b"garbage!")
         with pytest.raises(ValueError):
             RepositoryIndex.load(str(p))
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        raw = small_index_bytes(tmp_path)
+        cut = tmp_path / "cut.idx"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: "):
+                RepositoryIndex.load(str(cut))
+        cut.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: .*trailing"):
+            RepositoryIndex.load(str(cut))
+
+    def test_every_byte_flip_loads_or_names_the_file(self, tmp_path):
+        raw = small_index_bytes(tmp_path)
+        bad = tmp_path / "bad.idx"
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= 0xFF
+            bad.write_bytes(bytes(flipped))
+            try:
+                RepositoryIndex.load(str(bad))
+            except ValueError as exc:
+                assert str(exc).startswith(f"{bad}: "), (i, str(exc))
+
+    def test_invalid_posting_names_the_file(self, tmp_path):
+        index = build_index(pairs("cat", "dog"))
+        index.postings["cat"] = [(7, 1)]
+        path = tmp_path / "bad.idx"
+        index.save(str(path))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*invalid doc 7"):
+            RepositoryIndex.load(str(path))
