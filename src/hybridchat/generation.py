@@ -364,8 +364,11 @@ def beam_search(model: GeneratorModel, ctx_ids: list[int], facts_ids: list[list[
 
     Expands breadth-first keeping the beam_size best unfinished hypotheses
     per step by accumulated log-likelihood; a hypothesis finishes on EOS or
-    when max_len tokens are reached.  Finished hypotheses are ranked by
-    log-likelihood divided by emitted-token count (EOS included, BOS not).
+    when max_len tokens are reached.  Pruning is exact top-k: every row's
+    EOS extension with finite log-likelihood finishes, and the survivors are
+    the first beam_size non-EOS extensions in (-ll, row, token) order.
+    Finished hypotheses are ranked by log-likelihood divided by
+    emitted-token count (EOS included, BOS not).
     PAD, UNK, and BOS are never proposed.  Returns (token ids, score) pairs,
     best first; EOS is stripped from the returned ids.
     """
@@ -384,28 +387,24 @@ def beam_search(model: GeneratorModel, ctx_ids: list[int], facts_ids: list[list[
             logp = np.log(probs)
         logp[:, banned] = -np.inf
         total = live_ll[:, None] + logp                      # (B, V)
-        flat = total.ravel()
-        order = np.argsort(-flat, kind="stable")
-        next_tokens: list[tuple] = []
-        next_ll = []
-        next_rows = []
-        for idx in order:
-            ll = flat[idx]
-            if ll == -np.inf:
+        eos = total[:, EOS_ID]
+        for row in np.argsort(-eos, kind="stable"):
+            if eos[row] == -np.inf:
                 break
-            row, tok = divmod(int(idx), total.shape[1])
-            if tok == EOS_ID:
-                finished.append(Hypothesis(live_tokens[row], float(ll), step_idx))
-                continue
-            if len(next_tokens) < beam_size:
-                next_tokens.append(live_tokens[row] + (tok,))
-                next_ll.append(float(ll))
-                next_rows.append(row)
+            finished.append(Hypothesis(live_tokens[row], float(eos[row]), step_idx))
+        total[:, EOS_ID] = -np.inf
+        neg = -total.ravel()
+        kth = min(beam_size, neg.size) - 1
+        cand = np.flatnonzero(neg <= np.partition(neg, kth)[kth])
+        picked = cand[np.argsort(neg[cand], kind="stable")[:beam_size]]
+        picked = picked[neg[picked] < np.inf]
+        rows, tok_ids = np.divmod(picked, total.shape[1])
+        next_tokens = [live_tokens[r] + (t,) for r, t in zip(rows.tolist(), tok_ids.tolist())]
         if not next_tokens:
             break
         live_tokens = next_tokens
-        live_ll = np.array(next_ll)
-        state = new_state.reindex(np.array(next_rows))
+        live_ll = -neg[picked]
+        state = new_state.reindex(rows)
     else:
         for toks, ll in zip(live_tokens, live_ll):
             finished.append(Hypothesis(toks, float(ll), len(toks)))

@@ -456,9 +456,10 @@ def conv2d_valid(x: Tensor, w: Tensor) -> Tensor:
     out = _node(y.transpose(0, 2, 1).reshape(B, K, oh, ow), (x, w))
     if out.requires_grad:
         def _bw():
-            g = out.grad.reshape(B, K, oh * ow).transpose(0, 2, 1)   # (B, oh*ow, K)
+            gk = out.grad.reshape(B, K, oh * ow)
+            g = gk.transpose(0, 2, 1)                              # (B, oh*ow, K)
             if w.requires_grad:
-                dw = np.einsum("bpk,bpc->kc", g, cols)
+                dw = np.matmul(gk, cols).sum(axis=0)               # (K, C*kh*kw)
                 w.grad += dw.reshape(K, C, kh, kw)
             if x.requires_grad:
                 gcols = np.matmul(g, wmat).reshape(B, oh, ow, C, kh, kw)

@@ -12,6 +12,8 @@ import math
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .nncore.checkpoint import BinaryReader
 
 DEFAULT_K = 9
@@ -209,20 +211,40 @@ def retrieve(
 ) -> list[RetrievedCandidate]:
     """Top-k responses whose stored contexts best match the query context.
 
-    Only documents with positive BM25 score qualify; ties break by ascending
-    doc id.  Duplicate response strings are removed, backfilling from the
-    ranking tail, so fewer than k candidates can come back.
+    Only documents with positive BM25 score qualify, ranked by (-score, doc
+    id).  Duplicate response strings are removed, backfilling from the
+    ranking tail, so fewer than k candidates can come back.  The ranking is
+    exact but partial: the best 4k docs (with every doc tied at the cut) are
+    sorted and deduplicated, and the window grows 4x while dedupe leaves
+    fewer than k results and unsorted docs remain.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = index.score_all(context)
-    ranked = sorted(
-        ((doc_id, s) for doc_id, s in scores.items() if s > 0.0),
-        key=lambda item: (-item[1], item[0]),
-    )
+    doc_ids = np.fromiter(scores.keys(), dtype=np.int64, count=len(scores))
+    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+    positive = values > 0.0
+    doc_ids, values = doc_ids[positive], values[positive]
+    window = 4 * k
+    while True:
+        if window < values.size:
+            cut = np.partition(values, values.size - window)[values.size - window]
+            head = np.flatnonzero(values >= cut)
+        else:
+            head = np.arange(values.size)
+        head = head[np.lexsort((doc_ids[head], -values[head]))]
+        results = _dedupe(index, doc_ids[head].tolist(), values[head].tolist(), k)
+        if len(results) == k or head.size == values.size:
+            return results
+        window *= 4
+
+
+def _dedupe(index: RepositoryIndex, doc_ids: list[int], scores: list[float],
+            k: int) -> list[RetrievedCandidate]:
+    """The first k ranked docs whose response text has not been seen yet."""
     results: list[RetrievedCandidate] = []
     seen_responses: set[str] = set()
-    for doc_id, score in ranked:
+    for doc_id, score in zip(doc_ids, scores):
         response = index.doc_store[doc_id][1]
         key = " ".join(response)
         if key in seen_responses:

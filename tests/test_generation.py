@@ -10,6 +10,7 @@ from hybridchat.generation import (
     GeneratorConfig,
     GeneratorModel,
     GeneratorTrainConfig,
+    Hypothesis,
     _attention,
     _encode_for_decoding,
     _fact_vectors,
@@ -348,6 +349,54 @@ def enumerate_hypotheses(session, max_len, content_tokens):
     return results
 
 
+def reference_beam_search(model, ctx_ids, facts_ids, beam_size, max_len):
+    """Beam search pruned by argsorting every beam x V total and walking it.
+
+    The original selection loop, kept as the reference that the array top-k
+    of beam_search must reproduce exactly.
+    """
+    session = DecodingSession(model, ctx_ids, facts_ids)
+    banned = np.array([PAD_ID, UNK_ID, BOS_ID])
+    live_tokens = [()]
+    live_ll = np.zeros(1)
+    state = session.initial_state()
+    finished = []
+    for step_idx in range(1, max_len + 1):
+        y_prev = np.array([t[-1] if t else BOS_ID for t in live_tokens], dtype=np.int64)
+        probs, new_state = session.step(state, y_prev)
+        with np.errstate(divide="ignore"):
+            logp = np.log(probs)
+        logp[:, banned] = -np.inf
+        total = live_ll[:, None] + logp                      # (B, V)
+        flat = total.ravel()
+        order = np.argsort(-flat, kind="stable")
+        next_tokens = []
+        next_ll = []
+        next_rows = []
+        for idx in order:
+            ll = flat[idx]
+            if ll == -np.inf:
+                break
+            row, tok = divmod(int(idx), total.shape[1])
+            if tok == EOS_ID:
+                finished.append(Hypothesis(live_tokens[row], float(ll), step_idx))
+                continue
+            if len(next_tokens) < beam_size:
+                next_tokens.append(live_tokens[row] + (tok,))
+                next_ll.append(float(ll))
+                next_rows.append(row)
+        if not next_tokens:
+            break
+        live_tokens = next_tokens
+        live_ll = np.array(next_ll)
+        state = new_state.reindex(np.array(next_rows))
+    else:
+        for toks, ll in zip(live_tokens, live_ll):
+            finished.append(Hypothesis(toks, float(ll), len(toks)))
+    ranked = sorted(finished, key=lambda h: (-h.score, h.tokens))
+    return [(list(h.tokens), h.score) for h in ranked]
+
+
 class TestBeamSearch:
     def test_beam_one_equals_argmax_chain(self):
         model = small_model(seed=29)
@@ -387,6 +436,36 @@ class TestBeamSearch:
     def test_bad_beam_rejected(self):
         with pytest.raises(ValueError):
             beam_search(small_model(), [4], None, beam_size=0, max_len=5)
+
+    @pytest.mark.parametrize("beam_size", [1, 3, 5, 10])
+    def test_pruning_equals_reference_loop(self, beam_size):
+        # V=300 is far wider than any beam, so every step prunes
+        for seed, max_len in ((43, 15), (47, 7), (53, 1)):
+            model = small_model(vocab=300, emb=6, hidden=5, seed=seed)
+            ctx, facts = [4, 77, 150, 299], [[8, 9], [200]]
+            got = beam_search(model, ctx, facts, beam_size, max_len)
+            want = reference_beam_search(model, ctx, facts, beam_size, max_len)
+            assert got == want   # token lists and float scores, exactly
+
+    @pytest.mark.parametrize("bias_levels", [1, 3])
+    def test_pruning_equals_reference_loop_when_tied(self, bias_levels):
+        # zero out_proj weights: every step gives the same distribution.  One
+        # bias level ties every total within a row; three levels tie totals
+        # within and across rows (a then b scores exactly as b then a).
+        model = small_model(vocab=60, emb=6, hidden=5, seed=59)
+        model.out_proj.w.data[...] = 0.0
+        model.out_proj.b.data[...] = np.random.default_rng(bias_levels).integers(0, bias_levels, 60)
+        for beam_size, max_len in ((1, 4), (3, 6), (10, 5)):
+            got = beam_search(model, [4, 5], [[6]], beam_size, max_len)
+            want = reference_beam_search(model, [4, 5], [[6]], beam_size, max_len)
+            assert got == want
+
+    def test_pruning_equals_reference_loop_when_beam_exceeds_grid(self):
+        # two content tokens: the first steps offer fewer extensions than the beam
+        model = small_model(vocab=6, emb=4, hidden=3, seed=61)
+        got = beam_search(model, [4, 5], [[4]], beam_size=50, max_len=6)
+        want = reference_beam_search(model, [4, 5], [[4]], beam_size=50, max_len=6)
+        assert got == want
 
     def test_scores_are_nonpositive(self):
         model = small_model(seed=41)

@@ -269,6 +269,16 @@ class TestOpGradients:
             seed=7,
         )
 
+    def test_conv2d_weight_gradient_matches_einsum(self):
+        rng = np.random.default_rng(16)
+        x, w = rng.normal(size=(4, 2, 9, 8)), Parameter(rng.normal(size=(5, 2, 3, 2)), "w")
+        g = rng.normal(size=(4, 5, 7, 7))
+        ad.sum_(ad.conv2d_valid(Tensor(x), w) * Tensor(g)).backward()
+        view = np.lib.stride_tricks.sliding_window_view(x, (3, 2), axis=(2, 3))
+        cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(4, 49, 12)
+        want = np.einsum("bpk,bpc->kc", g.reshape(4, 5, 49).transpose(0, 2, 1), cols)
+        np.testing.assert_allclose(w.grad, want.reshape(5, 2, 3, 2), rtol=0, atol=1e-10)
+
     def test_maxpool(self):
         # distinct values so no pooling ties at the evaluation point
         rng = np.random.default_rng(15)

@@ -196,6 +196,82 @@ class TestOracleEquivalence:
                 )
 
 
+def sort_everything_retrieve(context, index, k):
+    """retrieve's contract by sorting every positively scored doc."""
+    scores = index.score_all(context)
+    ranked = sorted(((d, s) for d, s in scores.items() if s > 0.0),
+                    key=lambda item: (-item[1], item[0]))
+    picked = []
+    seen = set()
+    for doc_id, score in ranked:
+        response = index.doc_store[doc_id][1]
+        key = " ".join(response)
+        if key in seen:
+            continue
+        seen.add(key)
+        picked.append((doc_id, score, len(picked) + 1, response))
+        if len(picked) == k:
+            break
+    return picked
+
+
+def as_tuples(got):
+    return [(g.doc_id, g.score, g.rank, g.response) for g in got]
+
+
+class TestPartialRanking:
+    """retrieve ranks only a window of the best docs; it must equal a full sort."""
+
+    def test_shared_top_response_widens_window(self):
+        # the 60 best docs share one reply, so the first windows dedupe to one result
+        data = [(toks("q q q") + [f"f{i % 7}"] * (i % 4), toks("same reply")) for i in range(60)]
+        data += [(toks("q") + [f"g{i}"] * (3 + i % 5), toks(f"reply {i}")) for i in range(150)]
+        order = np.random.default_rng(3).permutation(len(data))
+        index = build_index([data[i] for i in order])
+        query = toks("q")
+        ranked = sorted(index.score_all(query).items(), key=lambda item: (-item[1], item[0]))
+        replies = [" ".join(index.doc_store[d][1]) for d, _ in ranked]
+        assert set(replies[:60]) == {"same reply"} and "same reply" not in replies[60:]
+        for k in (1, 3, 9, 40):
+            got = retrieve(query, index, k=k)
+            assert len(got) == k
+            assert as_tuples(got) == sort_everything_retrieve(query, index, k)
+
+    def test_ties_straddling_the_window_break_by_doc_id(self):
+        # 2 docs above, then 60 docs tied at one score across every window edge.
+        # Half the tied docs match "a", half "b" (same df, same length); the
+        # "b" docs have the lower ids but reach score_all's dict last.
+        data = [(toks("a b"), toks(f"top {i}")) for i in range(2)]
+        data += [(toks("b z"), toks(f"tied b{i}")) for i in range(30)]
+        data += [(toks("a z"), toks(f"tied a{i}")) for i in range(30)]
+        data += [(toks("a z z z"), toks(f"low {i}")) for i in range(20)]
+        data += [(toks("b z z z"), toks(f"low b{i}")) for i in range(20)]
+        index = build_index(data)
+        query = toks("a b")
+        assert len(set(index.score_all(query).values())) == 3
+        for k in (1, 3, 9, 40):
+            got = retrieve(query, index, k=k)
+            assert as_tuples(got) == sort_everything_retrieve(query, index, k)
+
+    def test_random_duplicated_corpora(self):
+        rng = np.random.default_rng(2025)
+        for trial in range(40):
+            n_docs = int(rng.integers(2, 300))
+            vocab = [f"w{i}" for i in range(int(rng.integers(3, 30)))]
+            n_replies = int(rng.integers(1, 10))
+            data = []
+            for i in range(n_docs):
+                context = [vocab[int(j)] for j in rng.integers(0, len(vocab), int(rng.integers(1, 8)))]
+                reply = f"r{int(rng.integers(0, n_replies))}" if rng.random() < 0.8 else f"u{i}"
+                data.append((context, [reply]))
+            index = build_index(data)
+            query = [vocab[int(j)] for j in rng.integers(0, len(vocab), int(rng.integers(1, 5)))]
+            for k in (1, 3, 9, 40):
+                got = retrieve(query, index, k=k)
+                assert as_tuples(got) == sort_everything_retrieve(query, index, k), (trial, k)
+                assert all(type(g.score) is float and type(g.doc_id) is int for g in got)
+
+
 class TestScoreLocality:
     def test_swap_of_unrelated_doc_leaves_scores_unchanged(self):
         # same N, same df for query terms, same doc lengths -> identical scores
