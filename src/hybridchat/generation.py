@@ -165,38 +165,30 @@ def make_batch(examples: list[tuple[list[int], list[list[int]], list[int]]]) -> 
     return EncodedBatch(ctx, ctx_mask, facts, facts_mask, tgt_in, tgt_out, tgt_mask)
 
 
-def _carry_states(new_states, old_states, mask_col: np.ndarray):
-    """Keep the previous layer states wherever the step mask is zero."""
-    m = Tensor(mask_col)
-    inv = Tensor(1.0 - mask_col)
-    return [
-        (h2 * m + h1 * inv, c2 * m + c1 * inv)
-        for (h2, c2), (h1, c1) in zip(new_states, old_states)
-    ]
+def _run_encoder(model: GeneratorModel, encoder: StackedLstm, ids: np.ndarray) -> list[Tensor]:
+    """Unroll an encoder over (N, L) ids; returns the top-layer hidden of every step.
 
-
-def _run_encoder(model: GeneratorModel, encoder: StackedLstm, ids: np.ndarray,
-                 mask: np.ndarray, carry: bool):
-    """Unroll an encoder; returns (per-step top hiddens, final top hidden).
-
-    With carry=True padded steps hold their state, so the final state is the
-    state at each row's true length (context encoder).  The facts encoder
-    mean-pools over masked positions instead and does not need the carry.
+    States run on through padding: a row's hiddens past its length are
+    computed but mean nothing.  Callers read them only through a mask (the
+    facts' masked mean, attention's column mask) or skip them (the context
+    summary is gathered at each row's length by _hidden_at_length).
     """
-    B, L = ids.shape
-    states = encoder.zero_state(B)
+    states = encoder.zero_state(ids.shape[0])
     tops = []
-    top = states[-1][0]
-    for t in range(L):
-        x = ad.embedding(model.embedding, ids[:, t])
-        _, new_states = encoder.step(x, states)
-        if carry:
-            states = _carry_states(new_states, states, mask[:, t: t + 1])
-        else:
-            states = new_states
-        top = states[-1][0]
+    for t in range(ids.shape[1]):
+        top, states = encoder.step(ad.embedding(model.embedding, ids[:, t]), states)
         tops.append(top)
-    return tops, top
+    return tops
+
+
+def _hidden_at_length(seq: Tensor, mask: np.ndarray) -> Tensor:
+    """Each row's hidden at its last real step: (B, L, H) -> (B, H) by one row gather.
+
+    mask is make_batch's (B, L) 0/1 prefix mask, so a row's length is its sum.
+    """
+    B, L, H = seq.shape
+    last = np.arange(B) * L + mask.sum(axis=1).astype(np.int64) - 1
+    return ad.embedding(ad.reshape(seq, (B * L, H)), last)
 
 
 def _attention(e_cols: Tensor, col_mask: np.ndarray, s_top: Tensor):
@@ -210,29 +202,43 @@ def _attention(e_cols: Tensor, col_mask: np.ndarray, s_top: Tensor):
 
 
 def _fact_vectors(model: GeneratorModel, facts: np.ndarray, facts_mask: np.ndarray):
-    """Mean-pooled fact vectors (B, F, H) and a (B, F) presence mask."""
+    """Mean-pooled fact vectors (B, F, H) and a (B, F) presence mask.
+
+    Only fact slots with at least one token run through the facts encoder;
+    make_batch pads every example to the batch's fact count, and the
+    padded slots would only be masked out again.  Their means are
+    scattered back by a row gather from a table whose row 0 is zeros, the
+    vector of every absent slot.  Needs at least one present slot, which
+    facts.size > 0 implies for a make_batch batch.
+    """
     B, F, Lf = facts.shape
-    flat_ids = facts.reshape(B * F, Lf)
-    flat_mask = facts_mask.reshape(B * F, Lf)
-    tops, _ = _run_encoder(model, model.facts_encoder, flat_ids, flat_mask, carry=False)
-    seq = ad.stack(tops, axis=1)                         # (B*F, Lf, H)
-    masked = seq * Tensor(flat_mask[:, :, None])
-    counts = flat_mask.sum(axis=1)
-    inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
-    mean = ad.sum_(masked, axis=1) * Tensor(inv[:, None])
     H = model.config.hidden_size
-    fbar = ad.reshape(mean, (B, F, H))
-    present = (facts_mask.sum(axis=2) > 0).astype(np.float64)
+    flat_mask = facts_mask.reshape(B * F, Lf)
+    counts = flat_mask.sum(axis=1)
+    rows = np.flatnonzero(counts > 0)
+    mask = flat_mask[rows]
+    seq = ad.stack(_run_encoder(model, model.facts_encoder, facts.reshape(B * F, Lf)[rows]),
+                   axis=1)                                # (R, Lf, H)
+    mean = ad.sum_(seq * Tensor(mask[:, :, None]), axis=1) * Tensor(1.0 / counts[rows, None])
+    table = ad.concat([Tensor(np.zeros((1, H))), mean], axis=0)
+    slot = np.zeros(B * F, dtype=np.int64)
+    slot[rows] = np.arange(1, rows.size + 1)
+    fbar = ad.embedding(table, slot.reshape(B, F))
+    present = (counts > 0).reshape(B, F).astype(np.float64)
     return fbar, present
 
 
 def _encode_for_decoding(model: GeneratorModel, batch: EncodedBatch):
-    """Shared encoder work: E columns, their mask, and the initial decoder state."""
+    """Shared encoder work: E columns, their mask, and the initial decoder state.
+
+    The context summary is each row's top hidden at its length
+    (_hidden_at_length); the fact vectors come from _fact_vectors when the
+    model uses facts and the batch has any.
+    """
     B = batch.ctx.shape[0]
     H = model.config.hidden_size
-    ctx_tops, ctx_final = _run_encoder(model, model.encoder, batch.ctx, batch.ctx_mask,
-                                       carry=True)
-    ctx_seq = ad.stack(ctx_tops, axis=1)                 # (B, Lc, H)
+    ctx_seq = ad.stack(_run_encoder(model, model.encoder, batch.ctx), axis=1)   # (B, Lc, H)
+    ctx_final = _hidden_at_length(ctx_seq, batch.ctx_mask)
     use_facts = model.config.use_facts and batch.facts.size > 0
     if use_facts:
         fbar, present = _fact_vectors(model, batch.facts, batch.facts_mask)
@@ -259,7 +265,8 @@ def nll_loss(model: GeneratorModel, batch: EncodedBatch, training: bool = False,
     Mean over the examples of the batch, sum over time steps within each
     example; PAD target positions are masked out.  Returns (scalar tensor,
     number of real target tokens) so callers can derive per-token
-    perplexity.
+    perplexity.  Decoder states of a row run on past its last target; they
+    feed only loss terms that the target mask zeroes.
     """
     B, Lt = batch.tgt_in.shape
     dropout = model.config.dropout if training else 0.0
@@ -270,9 +277,8 @@ def nll_loss(model: GeneratorModel, batch: EncodedBatch, training: bool = False,
         top_prev = states[-1][0]
         v = ad.tanh(ad.concat([top_prev, att], axis=1))
         x = ad.concat([v, ad.embedding(model.embedding, batch.tgt_in[:, t])], axis=1)
-        _, new_states = model.decoder.step(x, states, dropout_rate=dropout, rng=rng,
-                                           training=training)
-        states = _carry_states(new_states, states, batch.tgt_mask[:, t: t + 1])
+        _, states = model.decoder.step(x, states, dropout_rate=dropout, rng=rng,
+                                       training=training)
         _, att = _attention(e_cols, col_mask, states[-1][0])
         feats = ad.concat([states[-1][0], att], axis=1)
         if dropout > 0.0:

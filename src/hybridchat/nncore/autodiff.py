@@ -11,13 +11,51 @@ as soon as its gradient has been pushed to its parents, so after the call
 ``.grad`` is set on leaves only (parameters and ``requires_grad`` inputs)
 and the tape is freed by reference counting; a second ``backward()``
 through the same graph raises ``RuntimeError``.
+
+Importing this module pins glibc's malloc thresholds for the whole
+process (see :func:`_keep_freed_heap_mapped`).
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+
 import numpy as np
 
 _grad_enabled = True
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap_mapped() -> None:
+    """Stop glibc unmapping the arrays each training step frees.
+
+    glibc serves blocks above its mmap threshold by mmap and returns free
+    heap top above its trim threshold to the OS; both thresholds start low
+    and only grow as mmapped blocks are freed.  A training step frees tens
+    of MB of tape arrays at once; left to that rule, glibc hands part of
+    them back and the next step faults the same pages in again, as often
+    as the heap layout left by earlier work decides.  Setting the
+    thresholds switches the dynamic rule off at its own 64-bit ceiling:
+    blocks up to 32 MiB come from the heap, and up to 64 MiB of free heap
+    top stays mapped.  Does nothing where the C library is not glibc.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_heap_mapped()
 
 
 class no_grad:
@@ -96,7 +134,7 @@ class Tensor:
                 continue
             for p in node.parents:
                 if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
+                    p.grad = np.zeros(p.data.shape, p.data.dtype)
             node._backward()
             node._backward = _released
             node.parents = ()
@@ -227,11 +265,8 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = np.empty_like(a.data)
-    pos = a.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    y[~pos] = e / (1.0 + e)
+    e = np.exp(-np.abs(a.data))          # never overflows
+    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = _node(y, (a,))
     if out.requires_grad:
         def _bw():

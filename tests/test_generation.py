@@ -14,6 +14,7 @@ from hybridchat.generation import (
     _attention,
     _encode_for_decoding,
     _fact_vectors,
+    _hidden_at_length,
     _run_encoder,
     beam_search,
     make_batch,
@@ -41,10 +42,11 @@ def small_model(vocab=12, emb=6, hidden=5, use_facts=True, seed=0):
 
 def context_hiddens(model, ids):
     """Top-layer context hiddens (L, H) and the final hidden (H,) of one context."""
-    batch = np.asarray([ids], dtype=np.int64)
+    batch = make_batch([(ids, [], [EOS_ID])])
     with no_grad():
-        tops, final = _run_encoder(model, model.encoder, batch, np.ones(batch.shape), carry=True)
-    return np.stack([t.data[0] for t in tops]), final.data[0]
+        seq = ad.stack(_run_encoder(model, model.encoder, batch.ctx), axis=1)
+        final = _hidden_at_length(seq, batch.ctx_mask)
+    return seq.data[0], final.data[0]
 
 
 def fact_vectors(model, facts):
@@ -110,6 +112,16 @@ class TestEncodeContext:
         model.set_zero()
         hidden, _ = context_hiddens(model, [4, 5, 6])
         np.testing.assert_allclose(hidden, 0.0, atol=1e-15)
+
+    def test_padded_batch_gathers_each_rows_hidden_at_its_length(self):
+        model = small_model(seed=3)
+        contexts = [[4, 5], [6, 7, 8, 9, 10], [11], [4, 6, 8]]
+        batch = make_batch([(c, [], [EOS_ID]) for c in contexts])
+        with no_grad():
+            tops = _run_encoder(model, model.encoder, batch.ctx)
+            final = _hidden_at_length(ad.stack(tops, axis=1), batch.ctx_mask)
+        for row, ctx in enumerate(contexts):
+            assert (final.data[row] == tops[len(ctx) - 1].data[row]).all()
 
 
 class TestEncodeFacts:
@@ -322,6 +334,146 @@ class TestGradients:
         err = grad_check(loss, list(model.params.values()), np.random.default_rng(0),
                          n_samples=80)
         assert err < 1e-4
+
+
+def _carry_states(new_states, old_states, mask_col):
+    m, inv = Tensor(mask_col), Tensor(1.0 - mask_col)
+    return [(h2 * m + h1 * inv, c2 * m + c1 * inv)
+            for (h2, c2), (h1, c1) in zip(new_states, old_states)]
+
+
+def reference_fact_vectors(model, facts, facts_mask):
+    """The facts encoder run over every padded B x F slot, absent ones included."""
+    B, F, Lf = facts.shape
+    flat_mask = facts_mask.reshape(B * F, Lf)
+    seq = ad.stack(_run_encoder(model, model.facts_encoder, facts.reshape(B * F, Lf)), axis=1)
+    counts = flat_mask.sum(axis=1)
+    inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
+    mean = ad.sum_(seq * Tensor(flat_mask[:, :, None]), axis=1) * Tensor(inv[:, None])
+    fbar = ad.reshape(mean, (B, F, model.config.hidden_size))
+    return fbar, (facts_mask.sum(axis=2) > 0).astype(np.float64)
+
+
+def reference_nll_loss(model, batch, training=False, rng=None, decoder_carry=True):
+    """nll_loss with the padded facts encoder and LSTM states carried over padding.
+
+    The context encoder holds each row's state once its context ends, so the
+    last step's state is the final one; with decoder_carry the decoder holds
+    it once the target ends.  Returns (loss, e_cols, fbar or None).
+    """
+    B, Lc = batch.ctx.shape
+    H = model.config.hidden_size
+    states = model.encoder.zero_state(B)
+    tops = []
+    for t in range(Lc):
+        _, new = model.encoder.step(ad.embedding(model.embedding, batch.ctx[:, t]), states)
+        states = _carry_states(new, states, batch.ctx_mask[:, t: t + 1])
+        tops.append(states[-1][0])
+    ctx_seq, summary = ad.stack(tops, axis=1), tops[-1]
+    fbar = None
+    e_cols, col_mask = ctx_seq, batch.ctx_mask.copy()
+    if model.config.use_facts and batch.facts.size > 0:
+        fbar, present = reference_fact_vectors(model, batch.facts, batch.facts_mask)
+        e_cols = ad.concat([ctx_seq, fbar], axis=1)
+        col_mask = np.concatenate([batch.ctx_mask, present], axis=1)
+        n_facts = present.sum(axis=1)
+        inv = np.where(n_facts > 0, 1.0 / np.maximum(n_facts, 1.0), 0.0)
+        summary = summary + ad.sum_(fbar * Tensor(present[:, :, None]), axis=1) * Tensor(inv[:, None])
+    s0 = model.bridge(ad.tanh(summary))
+    states = [(s0, Tensor(np.zeros((B, H)))) for _ in range(model.config.num_layers)]
+    dropout = model.config.dropout if training else 0.0
+    _, att = _attention(e_cols, col_mask, states[-1][0])
+    total = None
+    for t in range(batch.tgt_in.shape[1]):
+        v = ad.tanh(ad.concat([states[-1][0], att], axis=1))
+        x = ad.concat([v, ad.embedding(model.embedding, batch.tgt_in[:, t])], axis=1)
+        _, new = model.decoder.step(x, states, dropout_rate=dropout, rng=rng, training=training)
+        states = _carry_states(new, states, batch.tgt_mask[:, t: t + 1]) if decoder_carry else new
+        _, att = _attention(e_cols, col_mask, states[-1][0])
+        feats = ad.concat([states[-1][0], att], axis=1)
+        if dropout > 0.0:
+            feats = ad.dropout(feats, dropout, rng, training=True)
+        nll_t = ad.cross_entropy_logits(model.out_proj(feats), batch.tgt_out[:, t])
+        step_loss = ad.sum_(nll_t * Tensor(batch.tgt_mask[:, t]))
+        total = step_loss if total is None else total + step_loss
+    return total * (1.0 / B), e_cols, fbar
+
+
+EQUIVALENCE_BATCHES = {
+    "zero-to-three-facts": [
+        ([4, 5, 6], [[7], [8, 9], [10, 4, 5]], [5, 4, EOS_ID]),
+        ([6, 7], [], [9, EOS_ID]),
+        ([8], [[4, 5]], [6, 7, 8, 9, EOS_ID]),
+        ([9, 10, 11, 4], [[6], [7, 8, 9, 10]], [4, EOS_ID]),
+    ],
+    "no-facts": [
+        ([4, 5, 6], [], [5, 4, EOS_ID]),
+        ([6, 7], [], [9, 8, 7, EOS_ID]),
+    ],
+    "one-example-with-facts": [
+        ([4, 5], [], [6, EOS_ID]),
+        ([7, 8, 9], [[10, 11], [4]], [5, 6, EOS_ID]),
+        ([10], [], [11, 4, 5, EOS_ID]),
+    ],
+    "empty-fact-slots": [
+        ([4, 5], [[], [6, 7]], [8, EOS_ID]),
+        ([9, 10, 11], [[4], []], [5, 6, 7, EOS_ID]),
+    ],
+}
+
+
+def loss_and_grads(model, loss_fn, dropout_seed):
+    """Loss value and the gradient of every parameter the loss reaches."""
+    model.zero_grad()
+    loss = loss_fn(np.random.default_rng(dropout_seed))
+    loss.backward()
+    return float(loss.data), {name: p.grad.copy() for name, p in model.params.items()
+                              if p.grad is not None}
+
+
+class TestEncoderEquivalence:
+    """The trimmed encoders against the padded, state-carrying reference."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_BATCHES))
+    def test_dropping_the_decoder_carry_changes_nothing(self, name, dropout):
+        model = GeneratorModel(gen_config(12, 6, 5, dropout=dropout), np.random.default_rng(7))
+        batch = make_batch(EQUIVALENCE_BATCHES[name])
+        runs = [
+            loss_and_grads(model, lambda rng, carry=carry: reference_nll_loss(
+                model, batch, training=True, rng=rng, decoder_carry=carry)[0], dropout_seed=5)
+            for carry in (True, False)
+        ]
+        (want_loss, want), (got_loss, got) = runs
+        assert got_loss == want_loss
+        assert got.keys() == want.keys()
+        for name_ in want:
+            assert (got[name_] == want[name_]).all(), name_
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_BATCHES))
+    def test_trimmed_encoders_match_the_padded_reference(self, name, dropout):
+        model = GeneratorModel(gen_config(12, 6, 5, dropout=dropout), np.random.default_rng(11))
+        batch = make_batch(EQUIVALENCE_BATCHES[name])
+        want_loss, want = loss_and_grads(
+            model, lambda rng: reference_nll_loss(model, batch, True, rng)[0], dropout_seed=5)
+        got_loss, got = loss_and_grads(
+            model, lambda rng: nll_loss(model, batch, True, rng)[0], dropout_seed=5)
+        assert got_loss == want_loss
+        assert got.keys() == want.keys()
+        for name_ in want:
+            np.testing.assert_allclose(got[name_], want[name_], rtol=1e-12, atol=1e-15,
+                                       err_msg=name_)
+        with no_grad():
+            _, ref_cols, ref_fbar = reference_nll_loss(model, batch)
+            e_cols, col_mask, _ = _encode_for_decoding(model, batch)
+        # padded context columns hold run-on states now; attention masks them
+        real = col_mask.astype(bool)
+        assert (e_cols.data[real] == ref_cols.data[real]).all()
+        if ref_fbar is not None:
+            with no_grad():
+                fbar, _ = _fact_vectors(model, batch.facts, batch.facts_mask)
+            assert (fbar.data == ref_fbar.data).all()
 
 
 def enumerate_hypotheses(session, max_len, content_tokens):

@@ -1,11 +1,15 @@
 import gc
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import hybridchat
 from hybridchat import nncore
 from hybridchat.nncore import autodiff as ad
 from hybridchat.nncore import (
@@ -57,6 +61,31 @@ class TestSoftmax:
     def test_shift_invariance(self):
         v = np.array([0.3, -1.2, 4.0])
         np.testing.assert_allclose(tape_softmax(v), tape_softmax(v + 123.0), atol=1e-12)
+
+
+def reference_sigmoid(x):
+    """Stable logistic by boolean-mask indexing, one formula per sign."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    y[~pos] = e / (1.0 + e)
+    return y
+
+
+class TestSigmoid:
+    def test_equals_masked_reference_at_edges_and_random_values(self):
+        edges = [0.0, 1e-300, 36.7, 709.0, 745.0, 1e308, np.inf]
+        x = np.concatenate([edges, np.negative(edges),
+                            np.random.default_rng(0).normal(scale=20.0, size=1000)])
+        got = ad.sigmoid(Tensor(x)).data
+        assert (got == reference_sigmoid(x)).all()
+        assert got[0] == got[len(edges)] == 0.5                # +0 and -0
+        assert got[6] == 1.0 and got[len(edges) + 6] == 0.0     # +inf and -inf
+
+    def test_nan_stays_nan(self):
+        got = ad.sigmoid(Tensor(np.array([np.nan, 1.0, -np.nan]))).data
+        assert np.isnan(got[0]) and np.isnan(got[2]) and not np.isnan(got[1])
 
 
 def scalar_lstm_oracle(wx, wh, b, x, h_prev, c_prev):
@@ -363,6 +392,43 @@ class TestBackwardRelease:
         np.testing.assert_array_equal(w.grad, [6.0, -8.0])
         assert h.grad is None and loss.grad is None
         assert h.parents == () and loss.parents == ()
+
+
+FAULTS_SCRIPT = """
+import resource
+import numpy as np
+import hybridchat.nncore
+
+def one_round():
+    arrays = [np.ones(6 * 2**20 // 8) for _ in range(4)]    # 4 x 6 MiB, every page written
+    del arrays
+
+one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    one_round()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestHeapThresholds:
+    @pytest.mark.skipif(not _glibc(), reason="malloc thresholds are set on glibc only")
+    def test_freed_training_sized_arrays_stay_mapped(self):
+        # without pinned thresholds glibc trims the freed heap top every
+        # round and the next round faults the same pages back in
+        src = os.path.dirname(os.path.dirname(hybridchat.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        one_round_pages = 4 * 6 * 2**20 // os.sysconf("SC_PAGE_SIZE")
+        assert int(out.stdout.strip()) < one_round_pages
 
 
 class TestDropout:
