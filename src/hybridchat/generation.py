@@ -39,9 +39,6 @@ from .textcore import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 logger = logging.getLogger(__name__)
 
-NEG_INF = -1e30
-
-
 @dataclass
 class GeneratorConfig:
     """Model shape; pipeline.PipelineConfig holds the defaults of every field."""
@@ -191,16 +188,6 @@ def _hidden_at_length(seq: Tensor, mask: np.ndarray) -> Tensor:
     return ad.embedding(ad.reshape(seq, (B * L, H)), last)
 
 
-def _attention(e_cols: Tensor, col_mask: np.ndarray, s_top: Tensor):
-    """Dot-product attention: weights over E's columns, then their weighted sum."""
-    B, C, H = e_cols.shape
-    scores = ad.reshape(ad.matmul(e_cols, ad.reshape(s_top, (B, H, 1))), (B, C))
-    masked = scores * Tensor(col_mask) + Tensor((1.0 - col_mask) * NEG_INF)
-    weights = ad.softmax(masked, axis=-1)
-    ctx = ad.reshape(ad.matmul(ad.reshape(weights, (B, 1, C)), e_cols), (B, H))
-    return weights, ctx
-
-
 def _fact_vectors(model: GeneratorModel, facts: np.ndarray, facts_mask: np.ndarray):
     """Mean-pooled fact vectors (B, F, H) and a (B, F) presence mask.
 
@@ -271,7 +258,7 @@ def nll_loss(model: GeneratorModel, batch: EncodedBatch, training: bool = False,
     B, Lt = batch.tgt_in.shape
     dropout = model.config.dropout if training else 0.0
     e_cols, col_mask, states = _encode_for_decoding(model, batch)
-    _, att = _attention(e_cols, col_mask, states[-1][0])
+    _, att = ad.dot_attention(e_cols, col_mask, states[-1][0])
     total = None
     for t in range(Lt):
         top_prev = states[-1][0]
@@ -279,7 +266,7 @@ def nll_loss(model: GeneratorModel, batch: EncodedBatch, training: bool = False,
         x = ad.concat([v, ad.embedding(model.embedding, batch.tgt_in[:, t])], axis=1)
         _, states = model.decoder.step(x, states, dropout_rate=dropout, rng=rng,
                                        training=training)
-        _, att = _attention(e_cols, col_mask, states[-1][0])
+        _, att = ad.dot_attention(e_cols, col_mask, states[-1][0])
         feats = ad.concat([states[-1][0], att], axis=1)
         if dropout > 0.0:
             feats = ad.dropout(feats, dropout, rng, training=True)
@@ -319,7 +306,7 @@ class DecodingSession:
         batch = make_batch([example])
         with no_grad():
             e_cols, col_mask, states = _encode_for_decoding(model, batch)
-            _, att = _attention(e_cols, col_mask, states[-1][0])
+            _, att = ad.dot_attention(e_cols, col_mask, states[-1][0])
         self.e_cols = e_cols.data
         self.col_mask = col_mask
         self._init_state = DecoderState(
@@ -346,7 +333,7 @@ class DecodingSession:
             v = ad.tanh(ad.concat([top_prev, Tensor(state.att)], axis=1))
             x = ad.concat([v, ad.embedding(self.model.embedding, y_prev)], axis=1)
             _, new_states = self.model.decoder.step(x, states)
-            _, att = _attention(e, mask, new_states[-1][0])
+            _, att = ad.dot_attention(e, mask, new_states[-1][0])
             feats = ad.concat([new_states[-1][0], att], axis=1)
             probs = ad.softmax(self.model.out_proj(feats), axis=-1)
         new_state = DecoderState([(h.data, c.data) for h, c in new_states], att.data)

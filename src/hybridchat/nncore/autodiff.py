@@ -38,9 +38,11 @@ def _keep_freed_heap_mapped() -> None:
     of MB of tape arrays at once; left to that rule, glibc hands part of
     them back and the next step faults the same pages in again, as often
     as the heap layout left by earlier work decides.  Setting the
-    thresholds switches the dynamic rule off at its own 64-bit ceiling:
-    blocks up to 32 MiB come from the heap, and up to 64 MiB of free heap
-    top stays mapped.  Does nothing where the C library is not glibc.
+    thresholds switches the dynamic rule off: blocks up to 32 MiB (its
+    64-bit ceiling) come from the heap, and free heap top is never
+    trimmed (M_TRIM_THRESHOLD -1, see mallopt(3)), since one step can free
+    more than any fixed trim threshold.  Does nothing where the C library
+    is not glibc.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
@@ -52,7 +54,7 @@ def _keep_freed_heap_mapped() -> None:
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_TRIM_THRESHOLD, -1)
 
 
 _keep_freed_heap_mapped()
@@ -264,9 +266,14 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
+def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic of an array, one formula per sign so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    e = np.exp(-np.abs(a.data))          # never overflows
-    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _stable_sigmoid(a.data)
     out = _node(y, (a,))
     if out.requires_grad:
         def _bw():
@@ -409,13 +416,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- nonlinear blocks ----------------------------------------------------------
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    if x.size == 0:
+        raise ValueError("softmax of an empty tensor")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along one axis (max subtracted for stability)."""
-    if a.data.size == 0:
-        raise ValueError("softmax of an empty tensor")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
     out = _node(y, (a,))
     if out.requires_grad:
         def _bw():
@@ -424,6 +434,102 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             a.grad += y * (g - dot)
         out._backward = _bw
     return out
+
+
+def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, wx: Tensor, wh: Tensor,
+              b: Tensor) -> tuple[Tensor, Tensor]:
+    """One four-gate LSTM step as two tape nodes; gate order i, f, g, o.
+
+    gates = x @ wx + h_prev @ wh + b, c = f * c_prev + i * g and
+    h = o * tanh(c).  The c node (parents x, h_prev, c_prev, wx, wh, b)
+    backpropagates the gates and both matmuls; the h node (parent c) adds
+    its share into c.grad and leaves the o-gate gradient for c, which is
+    zero when no loss reaches h.  Every expression is the one the op-by-op
+    composition (two matmuls, narrows, gate ops, mul/add) evaluates, so the
+    values are bit-identical to it.  So are the gradients whenever the tape
+    reaches each step before the next, as the generator's encoders and
+    decoder do; where a loss reaches earlier steps only through h_prev, the
+    per-step terms of the weight gradients are summed in another order.
+    """
+    H = h_prev.data.shape[1]
+    x_data, h_data, c_data = x.data, h_prev.data, c_prev.data
+    wx_data, wh_data = wx.data, wh.data
+    gates = np.matmul(x_data, wx_data) + np.matmul(h_data, wh_data) + b.data
+    act = _stable_sigmoid(gates)          # the g block is unused: g takes tanh
+    i, f, o = act[:, :H], act[:, H:2 * H], act[:, 3 * H:]
+    g = np.tanh(gates[:, 2 * H:3 * H])
+    c = _node(f * c_data + i * g, (x, h_prev, c_prev, wx, wh, b))
+    tc = np.tanh(c.data)
+    h = _node(o * tc, (c,))
+    if not c.requires_grad:
+        return h, c
+    d_o = [None]
+
+    def _bw_h():
+        dh = h.grad
+        c.grad += (1.0 - tc * tc) * (dh * o)
+        d_o[0] = o * (1.0 - o) * (dh * tc)
+
+    def _bw_c():
+        dc = c.grad
+        dgates = np.empty_like(act)
+        dgates[:, :H] = i * (1.0 - i) * (dc * g)
+        dgates[:, H:2 * H] = f * (1.0 - f) * (dc * c_data)
+        dgates[:, 2 * H:3 * H] = (1.0 - g * g) * (dc * i)
+        dgates[:, 3 * H:] = 0.0 if d_o[0] is None else d_o[0]
+        if c_prev.requires_grad:
+            c_prev.grad += dc * f
+        if b.requires_grad:
+            b.grad += _unbroadcast(dgates, b.data.shape)
+        if h_prev.requires_grad:
+            h_prev.grad += np.matmul(dgates, wh_data.swapaxes(-1, -2))
+        if wh.requires_grad:
+            wh.grad += np.matmul(h_data.swapaxes(-1, -2), dgates)
+        if x.requires_grad:
+            x.grad += np.matmul(dgates, wx_data.swapaxes(-1, -2))
+        if wx.requires_grad:
+            wx.grad += np.matmul(x_data.swapaxes(-1, -2), dgates)
+
+    h._backward = _bw_h
+    c._backward = _bw_c
+    return h, c
+
+
+NEG_INF = -1e30
+
+
+def dot_attention(e_cols: Tensor, col_mask: np.ndarray,
+                  s_top: Tensor) -> tuple[Tensor, Tensor]:
+    """Dot-product attention of (B, H) queries over (B, C, H) columns as one node.
+
+    Scores of masked-out columns (col_mask 0) are pinned to NEG_INF before a
+    max-shifted softmax.  Returns (weights, context): the (B, C) weights as a
+    constant Tensor, which no gradient flows through, and the (B, H)
+    weighted sum of the columns, with parents e_cols and s_top.  Forward and
+    backward evaluate the same expressions, in the same order, as the
+    composition of batched matmuls, mask, softmax and reshapes.
+    """
+    B, C, H = e_cols.data.shape
+    e_data = e_cols.data
+    s_col = s_top.data.reshape((B, H, 1))
+    scores = np.matmul(e_data, s_col).reshape((B, C))
+    y = _softmax(scores * col_mask + (1.0 - col_mask) * NEG_INF, -1)
+    y_row = y.reshape((B, 1, C))
+    ctx = _node(np.matmul(y_row, e_data).reshape((B, H)), (e_cols, s_top))
+    if ctx.requires_grad:
+        def _bw():
+            d_ctx = ctx.grad.reshape((B, 1, H))
+            if e_cols.requires_grad:
+                e_cols.grad += np.matmul(y_row.swapaxes(-1, -2), d_ctx)
+            g = np.matmul(d_ctx, e_data.swapaxes(-1, -2)).reshape((B, C))
+            dot = (g * y).sum(axis=-1, keepdims=True)
+            d_scores = (y * (g - dot) * col_mask).reshape((B, C, 1))
+            if e_cols.requires_grad:
+                e_cols.grad += np.matmul(d_scores, s_col.swapaxes(-1, -2))
+            if s_top.requires_grad:
+                s_top.grad += np.matmul(e_data.swapaxes(-1, -2), d_scores).reshape((B, H))
+        ctx._backward = _bw
+    return Tensor(y), ctx
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

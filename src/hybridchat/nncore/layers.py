@@ -80,6 +80,7 @@ def lstm_step(cell: LstmCell, x: Tensor, h_prev: Tensor,
               c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One step of the standard four-gate LSTM on (B, n_in)/(B, H) tensors.
 
+    Returns (h, c), built as one fused tape op (autodiff.lstm_cell).
     Raises on dimension mismatch.
     """
     H = cell.n_hidden
@@ -87,14 +88,7 @@ def lstm_step(cell: LstmCell, x: Tensor, h_prev: Tensor,
         raise ValueError(f"lstm_step: input size {x.shape[1]} != cell input size {cell.n_in}")
     if h_prev.shape[1] != H or c_prev.shape[1] != H:
         raise ValueError(f"lstm_step: state size mismatch (expected hidden size {H})")
-    gates = ad.matmul(x, cell.wx) + ad.matmul(h_prev, cell.wh) + cell.b
-    i = ad.sigmoid(ad.narrow(gates, 1, 0, H))
-    f = ad.sigmoid(ad.narrow(gates, 1, H, H))
-    g = ad.tanh(ad.narrow(gates, 1, 2 * H, H))
-    o = ad.sigmoid(ad.narrow(gates, 1, 3 * H, H))
-    c = f * c_prev + i * g
-    h = o * ad.tanh(c)
-    return h, c
+    return ad.lstm_cell(x, h_prev, c_prev, cell.wx, cell.wh, cell.b)
 
 
 class StackedLstm:

@@ -11,7 +11,6 @@ from hybridchat.generation import (
     GeneratorModel,
     GeneratorTrainConfig,
     Hypothesis,
-    _attention,
     _encode_for_decoding,
     _fact_vectors,
     _hidden_at_length,
@@ -22,9 +21,11 @@ from hybridchat.generation import (
     perplexity,
     train_generator,
 )
-from hybridchat.nncore import Tensor, grad_check, lstm_step, no_grad
+from hybridchat.nncore import Parameter, Tensor, grad_check, layers, lstm_step, no_grad
 from hybridchat.nncore import autodiff as ad
 from hybridchat.textcore import BOS_ID, EOS_ID, PAD_ID, UNK_ID
+
+from .test_nncore import interior_nodes, reference_lstm_step
 
 
 def gen_config(vocab, emb, hidden, use_facts=True, dropout=0.0):
@@ -69,7 +70,7 @@ def attend(e_matrix, s_prev):
     e_cols = Tensor(np.asarray(e_matrix, dtype=np.float64).T[None])
     s = Tensor(np.asarray(s_prev, dtype=np.float64)[None])
     with no_grad():
-        weights, context = _attention(e_cols, np.ones((1, e_cols.shape[1])), s)
+        weights, context = ad.dot_attention(e_cols, np.ones((1, e_cols.shape[1])), s)
         features = ad.tanh(ad.concat([s, context], axis=1))
     return weights.data[0], context.data[0], features.data[0]
 
@@ -382,14 +383,14 @@ def reference_nll_loss(model, batch, training=False, rng=None, decoder_carry=Tru
     s0 = model.bridge(ad.tanh(summary))
     states = [(s0, Tensor(np.zeros((B, H)))) for _ in range(model.config.num_layers)]
     dropout = model.config.dropout if training else 0.0
-    _, att = _attention(e_cols, col_mask, states[-1][0])
+    _, att = ad.dot_attention(e_cols, col_mask, states[-1][0])
     total = None
     for t in range(batch.tgt_in.shape[1]):
         v = ad.tanh(ad.concat([states[-1][0], att], axis=1))
         x = ad.concat([v, ad.embedding(model.embedding, batch.tgt_in[:, t])], axis=1)
         _, new = model.decoder.step(x, states, dropout_rate=dropout, rng=rng, training=training)
         states = _carry_states(new, states, batch.tgt_mask[:, t: t + 1]) if decoder_carry else new
-        _, att = _attention(e_cols, col_mask, states[-1][0])
+        _, att = ad.dot_attention(e_cols, col_mask, states[-1][0])
         feats = ad.concat([states[-1][0], att], axis=1)
         if dropout > 0.0:
             feats = ad.dropout(feats, dropout, rng, training=True)
@@ -474,6 +475,144 @@ class TestEncoderEquivalence:
             with no_grad():
                 fbar, _ = _fact_vectors(model, batch.facts, batch.facts_mask)
             assert (fbar.data == ref_fbar.data).all()
+
+
+def reference_attention(e_cols, col_mask, s_top):
+    """The op-by-op attention that autodiff.dot_attention fuses: 9 tape nodes."""
+    B, C, H = e_cols.shape
+    scores = ad.reshape(ad.matmul(e_cols, ad.reshape(s_top, (B, H, 1))), (B, C))
+    masked = scores * Tensor(col_mask) + Tensor((1.0 - col_mask) * ad.NEG_INF)
+    weights = ad.softmax(masked, axis=-1)
+    ctx = ad.reshape(ad.matmul(ad.reshape(weights, (B, 1, C)), e_cols), (B, H))
+    return weights, ctx
+
+
+def attention_mask(B, C, rng):
+    """Random 0/1 column mask with at least one open column per row; the
+    first row has exactly one open column."""
+    mask = (rng.random((B, C)) < 0.6).astype(np.float64)
+    mask[np.arange(B), rng.integers(0, C, size=B)] = 1.0
+    mask[0] = 0.0
+    mask[0, C // 2] = 1.0
+    return mask
+
+
+def run_attention(attend_fn, B, H, seed, grad_cols=True, grad_query=True, n_queries=3):
+    """Several queries against one E, as the decoder's steps make; returns
+    each query's weights and context, and the gradients."""
+    rng = np.random.default_rng(seed)
+    C = 6
+    e_cols = Tensor(rng.normal(size=(B, C, H)), requires_grad=grad_cols)
+    mask = attention_mask(B, C, rng)
+    queries = [Tensor(rng.normal(size=(B, H)) * 2.0, requires_grad=grad_query)
+               for _ in range(n_queries)]
+    outs, loss = {}, None
+    for t, s in enumerate(queries):
+        weights, ctx = attend_fn(e_cols, mask, s)
+        outs[f"weights{t}"], outs[f"ctx{t}"] = weights.data, ctx.data
+        term = ad.sum_(ctx * Tensor(rng.normal(size=(B, H))))
+        loss = term if loss is None else loss + term
+    if loss.requires_grad:
+        loss.backward()
+    leaves = {"e_cols": e_cols, **{f"s{t}": s for t, s in enumerate(queries)}}
+    return outs, {name: t.grad for name, t in leaves.items() if t.grad is not None}
+
+
+class TestFusedAttention:
+    """ad.dot_attention (one node) against the 9-node composition, bit for bit."""
+
+    @pytest.mark.parametrize("grads", ["both", "columns-only", "query-only"])
+    @pytest.mark.parametrize("B,H", [(1, 1), (1, 5), (25, 1), (25, 5)])
+    def test_values_and_gradients_equal_the_composition(self, B, H, grads):
+        flags = {"grad_cols": grads != "query-only", "grad_query": grads != "columns-only"}
+        want, want_grads = run_attention(reference_attention, B, H, seed=B + H, **flags)
+        got, got_grads = run_attention(ad.dot_attention, B, H, seed=B + H, **flags)
+        for name in want:
+            assert (got[name] == want[name]).all(), name
+        assert got_grads.keys() == want_grads.keys()
+        for name in want_grads:
+            assert (got_grads[name] == want_grads[name]).all(), name
+
+    def test_one_open_column_takes_all_the_weight(self):
+        got, _ = run_attention(ad.dot_attention, 4, 3, seed=2)
+        np.testing.assert_array_equal(got["weights0"][0], np.eye(6)[3])
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(41)
+        e_cols = Parameter(rng.normal(size=(3, 4, 5)), "e_cols")
+        s_top = Parameter(rng.normal(size=(3, 5)), "s_top")
+        mask = attention_mask(3, 4, rng)
+        mix = rng.normal(size=(3, 5))
+
+        def loss():
+            return ad.sum_(ad.dot_attention(e_cols, mask, s_top)[1] * Tensor(mix))
+
+        err = grad_check(loss, [e_cols, s_top], rng, n_samples=60)
+        assert err < 1e-4
+
+    def test_one_call_adds_one_node_and_backward_releases_it_once(self):
+        rng = np.random.default_rng(5)
+        e_cols = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        s_top = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        mask = np.ones((2, 4))
+        assert interior_nodes(reference_attention(e_cols, mask, s_top)[1]) == 9
+        weights, ctx = ad.dot_attention(e_cols, mask, s_top)
+        assert interior_nodes(ctx) == 1
+        assert not weights.requires_grad and weights.parents == ()
+        loss = ad.sum_(ctx)
+        loss.backward()
+        assert ctx.parents == () and ctx.grad is None
+        first = e_cols.grad.copy()
+        with pytest.raises(RuntimeError):
+            loss.backward()
+        with pytest.raises(RuntimeError):
+            ad.sum_(ctx * 2.0).backward()
+        np.testing.assert_array_equal(e_cols.grad, first)
+
+
+class TestFusedGenerator:
+    """The whole generator loss on the fused ops against the op-by-op ones."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_BATCHES))
+    def test_loss_and_every_gradient_equal_the_composition(self, name, dropout, monkeypatch):
+        model = GeneratorModel(gen_config(12, 6, 5, dropout=dropout), np.random.default_rng(13))
+        batch = make_batch(EQUIVALENCE_BATCHES[name])
+
+        def run():
+            return loss_and_grads(model, lambda rng: nll_loss(model, batch, True, rng)[0],
+                                  dropout_seed=5)
+
+        got_loss, got = run()
+        with monkeypatch.context() as m:
+            m.setattr(layers, "lstm_step", reference_lstm_step)
+            m.setattr(ad, "dot_attention", reference_attention)
+            want_loss, want = run()
+        assert got_loss == want_loss
+        assert got.keys() == want.keys()
+        for name_ in want:
+            assert (got[name_] == want[name_]).all(), name_
+
+    def test_decoding_equals_the_composition(self, monkeypatch):
+        model = small_model(seed=4)
+
+        def decode():
+            session = DecodingSession(model, [4, 7, 5], [[6], [8, 9]])
+            state = session.initial_state().reindex(np.zeros(3, dtype=np.int64))
+            y, out = np.array([BOS_ID, 5, 6]), []
+            for _ in range(3):
+                probs, state = session.step(state, y)
+                out += [probs, state.att] + [a for layer in state.layers for a in layer]
+                y = probs.argmax(axis=1)
+            return out
+
+        got = decode()
+        with monkeypatch.context() as m:
+            m.setattr(layers, "lstm_step", reference_lstm_step)
+            m.setattr(ad, "dot_attention", reference_attention)
+            want = decode()
+        for a, b in zip(got, want, strict=True):
+            assert (a == b).all()
 
 
 def enumerate_hypotheses(session, max_len, content_tokens):

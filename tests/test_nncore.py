@@ -399,13 +399,15 @@ import resource
 import numpy as np
 import hybridchat.nncore
 
+N_ARRAYS, ROUNDS = {n_arrays}, {rounds}
+
 def one_round():
-    arrays = [np.ones(6 * 2**20 // 8) for _ in range(4)]    # 4 x 6 MiB, every page written
+    arrays = [np.ones(6 * 2**20 // 8) for _ in range(N_ARRAYS)]    # 6 MiB each, every page written
     del arrays
 
 one_round()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
+for _ in range(ROUNDS):
     one_round()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
@@ -418,17 +420,30 @@ def _glibc() -> bool:
         return False
 
 
+def minor_faults_of_rounds(n_arrays: int, rounds: int) -> int:
+    """Minor faults of `rounds` rounds that allocate and free n_arrays x 6 MiB,
+    in a fresh process that imports hybridchat.nncore."""
+    src = os.path.dirname(os.path.dirname(hybridchat.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    script = FAULTS_SCRIPT.replace("{n_arrays}", str(n_arrays)).replace("{rounds}", str(rounds))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return int(out.stdout.strip())
+
+
+@pytest.mark.skipif(not _glibc(), reason="malloc thresholds are set on glibc only")
 class TestHeapThresholds:
-    @pytest.mark.skipif(not _glibc(), reason="malloc thresholds are set on glibc only")
     def test_freed_training_sized_arrays_stay_mapped(self):
         # without pinned thresholds glibc trims the freed heap top every
         # round and the next round faults the same pages back in
-        src = os.path.dirname(os.path.dirname(hybridchat.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, check=True,
-                             capture_output=True, text=True, timeout=120)
         one_round_pages = 4 * 6 * 2**20 // os.sysconf("SC_PAGE_SIZE")
-        assert int(out.stdout.strip()) < one_round_pages
+        assert minor_faults_of_rounds(4, 20) < one_round_pages
+
+    def test_freed_heap_top_above_64_mib_stays_mapped(self):
+        # 72 MiB freed at once: a fixed 64 MiB trim threshold hands it back
+        # every round
+        one_round_pages = 12 * 6 * 2**20 // os.sysconf("SC_PAGE_SIZE")
+        assert minor_faults_of_rounds(12, 5) < one_round_pages
 
 
 class TestDropout:
@@ -561,3 +576,178 @@ class TestLstmGradient:
 
         err = grad_check(loss, list(model.params.values()), rng, n_samples=60)
         assert err < 1e-6
+
+
+def reference_lstm_step(cell, x, h_prev, c_prev):
+    """The op-by-op LSTM step that autodiff.lstm_cell fuses: 17 tape nodes."""
+    H = cell.n_hidden
+    gates = ad.matmul(x, cell.wx) + ad.matmul(h_prev, cell.wh) + cell.b
+    i = ad.sigmoid(ad.narrow(gates, 1, 0, H))
+    f = ad.sigmoid(ad.narrow(gates, 1, H, H))
+    g = ad.tanh(ad.narrow(gates, 1, 2 * H, H))
+    o = ad.sigmoid(ad.narrow(gates, 1, 3 * H, H))
+    c = f * c_prev + i * g
+    h = o * ad.tanh(c)
+    return h, c
+
+
+def interior_nodes(root) -> int:
+    """Tape nodes reachable from root that carry a backward (leaves excluded)."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        count += node._backward is not None
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return count
+
+
+def run_lstm_chain(step, B, H, seed, case, n_in=3, n_steps=3, gate_bias=None):
+    """Unroll `step` over n_steps inputs, backpropagate, return values and gradients.
+
+    The loss reads every step's h in time order, as the encoders' stacked
+    hiddens and the decoder's per-step loss terms do, plus the last c.
+    case "h-and-c" is that loss; "c-only" leaves out the last h, which is
+    then unreachable; "zero-c0" starts from the constant zero cell state;
+    "constant-inputs" leaves only the cell's parameters requiring grad.
+    gate_bias, when given, zeroes both weight matrices so that the gate
+    pre-activations are exactly the bias.
+    """
+    rng = np.random.default_rng(seed)
+    model = Model()
+    cell = LstmCell(model, "cell", n_in, H, rng)
+    for p in model.params.values():
+        p.data[...] = rng.normal(size=p.data.shape)
+    if gate_bias is not None:
+        cell.wx.data[...] = 0.0
+        cell.wh.data[...] = 0.0
+        cell.b.data[...] = gate_bias
+    grad_in = case != "constant-inputs"
+    xs = [Tensor(rng.normal(size=(B, n_in)), requires_grad=grad_in) for _ in range(n_steps)]
+    h0 = Tensor(rng.normal(size=(B, H)), requires_grad=grad_in)
+    c0 = (Tensor(np.zeros((B, H))) if case == "zero-c0"
+          else Tensor(rng.normal(size=(B, H)), requires_grad=grad_in))
+    mix_h = rng.normal(size=(n_steps, B, H))
+    mix_c = rng.normal(size=(B, H))
+    h, c = h0, c0
+    loss = None
+    for t, x in enumerate(xs):
+        h, c = step(cell, x, h, c)
+        if t + 1 < n_steps or case != "c-only":
+            term = ad.sum_(h * Tensor(mix_h[t]))
+            loss = term if loss is None else loss + term
+    loss = loss + ad.sum_(c * Tensor(mix_c))
+    loss.backward()
+    leaves = {f"x{t}": x for t, x in enumerate(xs)}
+    leaves.update({"h0": h0, "c0": c0, **model.params})
+    grads = {name: t.grad for name, t in leaves.items() if t.grad is not None}
+    return {"h": h.data, "c": c.data, "loss": loss.data}, grads
+
+
+class TestFusedLstmCell:
+    """lstm_step (one fused op) against the 15-node composition, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["h-and-c", "c-only", "zero-c0", "constant-inputs"])
+    @pytest.mark.parametrize("B,H", [(1, 1), (1, 7), (25, 1), (25, 7)])
+    def test_values_and_gradients_equal_the_composition(self, B, H, case):
+        want, want_grads = run_lstm_chain(reference_lstm_step, B, H, seed=B + H, case=case)
+        got, got_grads = run_lstm_chain(lstm_step, B, H, seed=B + H, case=case)
+        for name in want:
+            assert (got[name] == want[name]).all(), name
+        assert got_grads.keys() == want_grads.keys()
+        for name in want_grads:
+            assert (got_grads[name] == want_grads[name]).all(), name
+        if case == "constant-inputs":
+            assert set(got_grads) == {"cell.wx", "cell.wh", "cell.b"}
+        if case == "zero-c0":
+            assert "c0" not in got_grads
+
+    def test_saturated_and_infinite_gates_equal_the_composition(self):
+        # i, f, g, o pre-activations at +-745 and +-inf, exactly
+        bias = np.array([745.0, -np.inf, -745.0, np.inf, np.inf, -745.0, -np.inf, 745.0])
+        want, want_grads = run_lstm_chain(reference_lstm_step, 4, 2, seed=3, case="h-and-c",
+                                          gate_bias=bias)
+        got, got_grads = run_lstm_chain(lstm_step, 4, 2, seed=3, case="h-and-c",
+                                        gate_bias=bias)
+        for name in want:
+            assert np.isfinite(got[name]).all() and (got[name] == want[name]).all(), name
+        assert got_grads.keys() == want_grads.keys()
+        for name in want_grads:
+            assert np.isfinite(got_grads[name]).all(), name
+            assert (got_grads[name] == want_grads[name]).all(), name
+
+    def test_last_hidden_only_loss_agrees_to_rounding(self):
+        # earlier steps reached only through h_prev: the composition pushes
+        # the wx terms after the earlier steps' and the fused op before
+        runs = []
+        for step in (reference_lstm_step, lstm_step):
+            rng = np.random.default_rng(8)
+            model = Model()
+            cell = LstmCell(model, "cell", 3, 7, rng)
+            h, c = cell.zero_state(25)
+            for _ in range(4):
+                h, c = step(cell, Tensor(rng.normal(size=(25, 3))), h, c)
+            ad.sum_(h * Tensor(rng.normal(size=(25, 7)))).backward()
+            runs.append({name: p.grad for name, p in model.params.items()})
+        for name, want in runs[0].items():
+            np.testing.assert_allclose(runs[1][name], want, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_input_and_state_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(31)
+        model = Model()
+        cell = LstmCell(model, "cell", 3, 4, rng)
+        xs = [Parameter(rng.normal(size=(2, 3)), f"x{t}") for t in range(3)]
+        h0 = Parameter(rng.normal(size=(2, 4)), "h0")
+        c0 = Parameter(rng.normal(size=(2, 4)), "c0")
+        mix_h, mix_c = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+
+        def loss():
+            h, c = h0, c0
+            for x in xs:
+                h, c = cell.step(x, h, c)
+            return ad.sum_(h * Tensor(mix_h)) + ad.sum_(c * Tensor(mix_c))
+
+        err = grad_check(loss, xs + [h0, c0], rng, n_samples=60)
+        assert err < 1e-4
+
+
+class TestLstmTape:
+    def make_step(self, seed=0):
+        rng = np.random.default_rng(seed)
+        model = Model()
+        cell = LstmCell(model, "cell", 3, 4, rng)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        c0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        return cell, x, h0, c0
+
+    def test_one_step_adds_two_nodes(self):
+        cell, x, h0, c0 = self.make_step()
+        h, c = lstm_step(cell, x, h0, c0)
+        assert interior_nodes(h) == 2 and interior_nodes(c) == 1
+        assert interior_nodes(reference_lstm_step(cell, x, h0, c0)[0]) == 17
+        h2, _ = lstm_step(cell, x, h, c)
+        assert interior_nodes(h2) == 4
+
+    def test_no_grad_returns_plain_tensors(self):
+        cell, x, h0, c0 = self.make_step()
+        with nncore.no_grad():
+            h, c = lstm_step(cell, x, h0, c0)
+        assert not h.requires_grad and not c.requires_grad
+        assert h.parents == () and c.parents == ()
+
+    def test_backward_releases_both_nodes_once(self):
+        cell, x, h0, c0 = self.make_step()
+        h, c = lstm_step(cell, x, h0, c0)
+        loss = ad.sum_(h) + ad.sum_(c)
+        loss.backward()
+        assert h.parents == () and c.parents == ()
+        assert h.grad is None and c.grad is None
+        first = cell.wx.grad.copy()
+        with pytest.raises(RuntimeError):
+            loss.backward()
+        with pytest.raises(RuntimeError):
+            ad.sum_(h * 2.0).backward()
+        np.testing.assert_array_equal(cell.wx.grad, first)
