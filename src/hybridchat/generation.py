@@ -18,7 +18,7 @@ from BOS and a bridge-mapped encoder summary.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .nncore import (
     no_grad,
 )
 from .nncore.optim import EarlyStopping
-from .nncore.checkpoint import load_checkpoint, save_checkpoint
 from .textcore import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 logger = logging.getLogger(__name__)
@@ -49,7 +48,6 @@ class GeneratorConfig:
     num_layers: int
     use_facts: bool
     dropout: float
-    max_len: int
 
 
 @dataclass
@@ -73,40 +71,19 @@ class GeneratorModel(Model):
     config.use_facts is set and an example actually carries facts.
     """
 
-    def __init__(self, config: GeneratorConfig, rng: np.random.Generator,
-                 embedding_init: np.ndarray | None = None):
+    kind = "generator"
+    config_class = GeneratorConfig
+
+    def __init__(self, config: GeneratorConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
         V, d, H = config.vocab_size, config.embedding_size, config.hidden_size
-        if embedding_init is not None:
-            if embedding_init.shape != (V, d):
-                raise ValueError(f"embedding init shape {embedding_init.shape} != {(V, d)}")
-            self.embedding = self.add_param("embedding", embedding_init.astype(np.float64))
-        else:
-            self.embedding = self.add_param("embedding", init_uniform(rng, (V, d)))
+        self.embedding = self.add_param("embedding", init_uniform(rng, (V, d)))
         self.encoder = StackedLstm(self, "encoder", d, H, config.num_layers, rng)
         self.facts_encoder = StackedLstm(self, "facts_encoder", d, H, config.num_layers, rng)
         self.decoder = StackedLstm(self, "decoder", 2 * H + d, H, config.num_layers, rng)
         self.bridge = Linear(self, "bridge", H, H, rng)
         self.out_proj = Linear(self, "out_proj", 2 * H, V, rng)
-
-    def save(self, path: str, vocab_hash: str, optimizer: Adam | None = None) -> None:
-        arrays = {name: p.data for name, p in self.params.items()}
-        save_checkpoint(path, "generator", vocab_hash, asdict(self.config), arrays,
-                        optimizer.state_dict() if optimizer else None)
-
-    @classmethod
-    def load(cls, path: str, expected_vocab_hash: str | None = None) -> "GeneratorModel":
-        blob = load_checkpoint(path)
-        if blob["kind"] != "generator":
-            raise ValueError(f"{path} holds a {blob['kind']!r} checkpoint, not a generator")
-        if expected_vocab_hash is not None and blob["vocab_hash"] != expected_vocab_hash:
-            raise ValueError(f"{path}: vocabulary hash mismatch")
-        config = GeneratorConfig(**blob["config"])
-        model = cls(config, np.random.default_rng(0))
-        for name, p in model.params.items():
-            p.data[...] = blob["params"][name]
-        return model
 
 
 # -- batched graph forward ----------------------------------------------------
@@ -216,7 +193,8 @@ def _fact_vectors(model: GeneratorModel, facts: np.ndarray, facts_mask: np.ndarr
 
 
 def _encode_for_decoding(model: GeneratorModel, batch: EncodedBatch):
-    """Shared encoder work: E columns, their mask, and the initial decoder state.
+    """Shared encoder work: E columns, their mask, the initial decoder state
+    and the first attention context (the initial top state's query over E).
 
     The context summary is each row's top hidden at its length
     (_hidden_at_length); the fact vectors come from _fact_vectors when the
@@ -242,7 +220,29 @@ def _encode_for_decoding(model: GeneratorModel, batch: EncodedBatch):
     s0 = model.bridge(ad.tanh(summary))                  # (B, H)
     zeros = Tensor(np.zeros((B, H)))
     states = [(s0, zeros) for _ in range(model.config.num_layers)]
-    return e_cols, col_mask, states
+    _, att = ad.dot_attention(e_cols, col_mask, s0)
+    return e_cols, col_mask, states, att
+
+
+def _decoder_step(model: GeneratorModel, e_cols: Tensor, col_mask: np.ndarray, states,
+                  att: Tensor, y_prev: np.ndarray, dropout: float = 0.0,
+                  rng: np.random.Generator | None = None):
+    """Advance the decoder one token; returns (logits (B, V), new states, new attention).
+
+    The stack's input is tanh([h_top; att]) joined with y_prev's embedding;
+    the new top hidden queries E, and [h_top; att] (feature dropout when
+    dropout > 0) is projected to the vocabulary.  Training and decoding
+    both step through here.
+    """
+    v = ad.tanh(ad.concat([states[-1][0], att], axis=1))
+    x = ad.concat([v, ad.embedding(model.embedding, y_prev)], axis=1)
+    top, states = model.decoder.step(x, states, dropout_rate=dropout, rng=rng,
+                                     training=dropout > 0.0)
+    _, att = ad.dot_attention(e_cols, col_mask, top)
+    feats = ad.concat([top, att], axis=1)
+    if dropout > 0.0:
+        feats = ad.dropout(feats, dropout, rng, training=True)
+    return model.out_proj(feats), states, att
 
 
 def nll_loss(model: GeneratorModel, batch: EncodedBatch, training: bool = False,
@@ -257,20 +257,12 @@ def nll_loss(model: GeneratorModel, batch: EncodedBatch, training: bool = False,
     """
     B, Lt = batch.tgt_in.shape
     dropout = model.config.dropout if training else 0.0
-    e_cols, col_mask, states = _encode_for_decoding(model, batch)
-    _, att = ad.dot_attention(e_cols, col_mask, states[-1][0])
+    e_cols, col_mask, states, att = _encode_for_decoding(model, batch)
     total = None
     for t in range(Lt):
-        top_prev = states[-1][0]
-        v = ad.tanh(ad.concat([top_prev, att], axis=1))
-        x = ad.concat([v, ad.embedding(model.embedding, batch.tgt_in[:, t])], axis=1)
-        _, states = model.decoder.step(x, states, dropout_rate=dropout, rng=rng,
-                                       training=training)
-        _, att = ad.dot_attention(e_cols, col_mask, states[-1][0])
-        feats = ad.concat([states[-1][0], att], axis=1)
-        if dropout > 0.0:
-            feats = ad.dropout(feats, dropout, rng, training=True)
-        nll_t = ad.cross_entropy_logits(model.out_proj(feats), batch.tgt_out[:, t])
+        logits, states, att = _decoder_step(model, e_cols, col_mask, states, att,
+                                            batch.tgt_in[:, t], dropout, rng)
+        nll_t = ad.cross_entropy_logits(logits, batch.tgt_out[:, t])
         step_loss = ad.sum_(nll_t * Tensor(batch.tgt_mask[:, t]))
         total = step_loss if total is None else total + step_loss
     return total * (1.0 / B), batch.n_target_tokens
@@ -305,8 +297,7 @@ class DecodingSession:
         example = (list(ctx_ids), facts_ids, [EOS_ID])
         batch = make_batch([example])
         with no_grad():
-            e_cols, col_mask, states = _encode_for_decoding(model, batch)
-            _, att = ad.dot_attention(e_cols, col_mask, states[-1][0])
+            e_cols, col_mask, states, att = _encode_for_decoding(model, batch)
         self.e_cols = e_cols.data
         self.col_mask = col_mask
         self._init_state = DecoderState(
@@ -329,15 +320,10 @@ class DecodingSession:
         mask = np.broadcast_to(self.col_mask, (B, self.col_mask.shape[1]))
         with no_grad():
             states = [(Tensor(h), Tensor(c)) for h, c in state.layers]
-            top_prev = states[-1][0]
-            v = ad.tanh(ad.concat([top_prev, Tensor(state.att)], axis=1))
-            x = ad.concat([v, ad.embedding(self.model.embedding, y_prev)], axis=1)
-            _, new_states = self.model.decoder.step(x, states)
-            _, att = ad.dot_attention(e, mask, new_states[-1][0])
-            feats = ad.concat([new_states[-1][0], att], axis=1)
-            probs = ad.softmax(self.model.out_proj(feats), axis=-1)
-        new_state = DecoderState([(h.data, c.data) for h, c in new_states], att.data)
-        return probs.data, new_state
+            logits, states, att = _decoder_step(self.model, e, mask, states, Tensor(state.att),
+                                                y_prev)
+            probs = ad.softmax(logits, axis=-1)
+        return probs.data, DecoderState([(h.data, c.data) for h, c in states], att.data)
 
 
 @dataclass
@@ -440,8 +426,9 @@ def train_generator(
     """Adam training over shuffled mini-batches with validation-driven decay.
 
     Validates every tcfg.validate_every steps on per-token perplexity; the
-    best parameters are restored at the end (and written to ckpt_path when
-    given).  Raises RuntimeError on a non-finite loss.
+    best parameters are restored at the end.  With ckpt_path, each
+    improving validation writes its parameters and that step's optimizer
+    state there.  Raises RuntimeError on a non-finite loss.
     """
     if not train_examples:
         raise ValueError("no training examples")
@@ -493,6 +480,4 @@ def train_generator(
                 break
     for name, p in model.params.items():
         p.data[...] = best_params[name]
-    if ckpt_path:
-        model.save(ckpt_path, vocab_hash, opt)
     return log

@@ -9,7 +9,6 @@ from .layers import (
     Model,
     StackedLstm,
     init_uniform,
-    load_pretrained_embeddings,
     lstm_step,
 )
 from .optim import Adam, clip_global_norm, grad_check
@@ -28,7 +27,6 @@ __all__ = [
     "grad_check",
     "init_uniform",
     "load_checkpoint",
-    "load_pretrained_embeddings",
     "lstm_step",
     "no_grad",
     "save_checkpoint",

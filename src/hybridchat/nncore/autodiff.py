@@ -293,25 +293,6 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = _node(y, (a,))
-    if out.requires_grad:
-        def _bw():
-            a.grad += y * out.grad
-        out._backward = _bw
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = _node(np.log(a.data), (a,))
-    if out.requires_grad:
-        def _bw():
-            a.grad += out.grad / a.data
-        out._backward = _bw
-    return out
-
-
 # -- reductions and shape ----------------------------------------------------
 
 
@@ -325,11 +306,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             a.grad += np.broadcast_to(g, a.data.shape)
         out._backward = _bw
     return out
-
-
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return sum_(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -6,10 +6,14 @@ state, checkpoints, and gradient checks can address parameters by name.
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .checkpoint import load_checkpoint, save_checkpoint
+from .optim import Adam
 
 INIT_SCALE = 0.08
 
@@ -19,14 +23,39 @@ def init_uniform(rng: np.random.Generator, shape, scale: float = INIT_SCALE, dty
 
 
 class Model:
-    """Base class holding a name->Parameter registry.
+    """Base class holding a name->Parameter registry and its checkpoint I/O.
 
     Training owns a model exclusively: updates mutate parameter arrays in
-    place.
+    place.  A subclass names its checkpoint `kind` and its `config_class`
+    (the dataclass its constructor takes as `config`, next to an rng).
     """
+
+    kind: str
+    config_class: type
 
     def __init__(self):
         self.params: dict[str, Parameter] = {}
+
+    def save(self, path: str, vocab_hash: str, optimizer: Adam | None = None) -> None:
+        arrays = {name: p.data for name, p in self.params.items()}
+        save_checkpoint(path, self.kind, vocab_hash, asdict(self.config), arrays,
+                        optimizer.state_dict() if optimizer else None)
+
+    @classmethod
+    def load(cls, path: str, expected_vocab_hash: str | None = None):
+        """Rebuild a saved model; keys the config dataclass no longer has are ignored."""
+        blob = load_checkpoint(path)
+        if blob["kind"] != cls.kind:
+            raise ValueError(f"{path} holds a {blob['kind']!r} checkpoint, not a {cls.kind}")
+        if expected_vocab_hash is not None and blob["vocab_hash"] != expected_vocab_hash:
+            raise ValueError(f"{path}: vocabulary hash mismatch")
+        values = {f.name: blob["config"][f.name] for f in fields(cls.config_class)}
+        config = cls.config_class(**{k: tuple(v) if isinstance(v, list) else v
+                                     for k, v in values.items()})
+        model = cls(config, np.random.default_rng(0))
+        for name, p in model.params.items():
+            p.data[...] = blob["params"][name]
+        return model
 
     def add_param(self, name: str, data: np.ndarray) -> Parameter:
         if name in self.params:
@@ -123,28 +152,3 @@ class StackedLstm:
                 inp = ad.dropout(inp, dropout_rate, rng, training=True)
         return new_states[-1][0], new_states
 
-
-def load_pretrained_embeddings(
-    vocab_tokens: list[str],
-    path: str,
-    dim: int,
-    rng: np.random.Generator,
-    scale: float = INIT_SCALE,
-) -> np.ndarray:
-    """Initialize an embedding table from a GloVe-format text file.
-
-    Each line: token followed by `dim` floats.  Tokens absent from the file
-    fall back to uniform random rows; the PAD row (index 0) is zeroed.
-    """
-    table = init_uniform(rng, (len(vocab_tokens), dim))
-    index = {t: i for i, t in enumerate(vocab_tokens)}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip().split(" ")
-            if len(parts) != dim + 1:
-                continue
-            tok = parts[0]
-            if tok in index:
-                table[index[tok]] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-    table[0] = 0.0
-    return table

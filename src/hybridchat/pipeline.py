@@ -77,7 +77,7 @@ DESK_OVERRIDES = {
         "steps_between_validation": "100",
         "max_steps": "600",
     },
-    "run": {"beam_size": "5", "max_len": "15", "desk_scale": "true"},
+    "run": {"beam_size": "5", "max_len": "15"},
 }
 
 
@@ -151,7 +151,6 @@ class PipelineConfig:
     seed: int = _key("run", "seed", 0)
     beam_size: int = _key("run", "beam_size", 10)
     max_len: int = _key("run", "max_len", 30)
-    desk_scale: bool = _key("run", "desk_scale", False)
 
     @classmethod
     def from_sections(cls, sections: dict) -> "PipelineConfig":
@@ -210,7 +209,6 @@ class PipelineConfig:
             num_layers=self.gen_layers,
             use_facts=self.gen_facts,
             dropout=self.gen_dropout,
-            max_len=self.max_len,
         )
 
     def generator_train_config(self, seed: int) -> GeneratorTrainConfig:

@@ -11,14 +11,13 @@ candidates above negative ones.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metrics import GENERATED, RETRIEVED, SIGNALS
 from .nncore import autodiff as ad
 from .nncore import Adam, Linear, Model, Tensor, init_uniform, no_grad
-from .nncore.checkpoint import load_checkpoint, save_checkpoint
 from .nncore.optim import EarlyStopping
 from .textcore import PAD_ID, Vocabulary, encode
 
@@ -60,17 +59,14 @@ class RankerModel(Model):
     least one full window, and so does every pooling step.
     """
 
-    def __init__(self, config: RankerConfig, rng: np.random.Generator,
-                 embedding_init: np.ndarray | None = None):
+    kind = "ranker"
+    config_class = RankerConfig
+
+    def __init__(self, config: RankerConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
         V, d = config.vocab_size, config.embedding_size
-        if embedding_init is not None:
-            if embedding_init.shape != (V, d):
-                raise ValueError(f"embedding init shape {embedding_init.shape} != {(V, d)}")
-            self.embedding = self.add_param("embedding", embedding_init.astype(np.float64))
-        else:
-            self.embedding = self.add_param("embedding", init_uniform(rng, (V, d)))
+        self.embedding = self.add_param("embedding", init_uniform(rng, (V, d)))
         kh, kw = config.conv_window
         ph, pw = config.pool_window
         self.conv_kernels = []
@@ -99,29 +95,6 @@ class RankerModel(Model):
         self.feature_size = channels * size_h * size_w
         self.hidden = Linear(self, "mlp.hidden", self.feature_size, config.mlp_hidden, rng)
         self.out = Linear(self, "mlp.out", config.mlp_hidden, 1, rng)
-
-    def save(self, path: str, vocab_hash: str, optimizer: Adam | None = None) -> None:
-        cfg = asdict(self.config)
-        cfg["conv_window"] = list(self.config.conv_window)
-        cfg["pool_window"] = list(self.config.pool_window)
-        arrays = {name: p.data for name, p in self.params.items()}
-        save_checkpoint(path, "ranker", vocab_hash, cfg, arrays,
-                        optimizer.state_dict() if optimizer else None)
-
-    @classmethod
-    def load(cls, path: str, expected_vocab_hash: str | None = None) -> "RankerModel":
-        blob = load_checkpoint(path)
-        if blob["kind"] != "ranker":
-            raise ValueError(f"{path} holds a {blob['kind']!r} checkpoint, not a ranker")
-        if expected_vocab_hash is not None and blob["vocab_hash"] != expected_vocab_hash:
-            raise ValueError(f"{path}: vocabulary hash mismatch")
-        cfg = dict(blob["config"])
-        cfg["conv_window"] = tuple(cfg["conv_window"])
-        cfg["pool_window"] = tuple(cfg["pool_window"])
-        model = cls(RankerConfig(**cfg), np.random.default_rng(0))
-        for name, p in model.params.items():
-            p.data[...] = blob["params"][name]
-        return model
 
 
 def pad_ids(ids: list[int], size: int) -> np.ndarray:
@@ -355,7 +328,9 @@ def train_ranker(
     """Adam on the pairwise hinge objective with accuracy-based early stopping.
 
     Dropout is applied to the MLP input during training only.  The best
-    parameters by held-out pairwise accuracy are restored at the end.
+    parameters by held-out pairwise accuracy are restored at the end; with
+    ckpt_path, each improving validation writes its parameters and that
+    step's optimizer state there.
     """
     if not triples:
         raise ValueError("no training triples")
@@ -417,6 +392,4 @@ def train_ranker(
                 break
     for name, p in model.params.items():
         p.data[...] = best_params[name]
-    if ckpt_path:
-        model.save(ckpt_path, vocab_hash, opt)
     return log

@@ -29,7 +29,7 @@ class TestStandaloneCommands:
             argv = ["init-config", "--out", out] + (["--desk"] if flag else [])
             assert main(argv) == 0
             cfg = PipelineConfig.from_file(out)
-            assert cfg.desk_scale is flag
+            assert (cfg.gen_hidden_size, cfg.max_len) == ((64, 15) if flag else (256, 30))
 
     def test_synth_data_writes_three_splits(self, tmp_path):
         out_dir = str(tmp_path / "data")

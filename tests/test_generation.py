@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +22,16 @@ from hybridchat.generation import (
     perplexity,
     train_generator,
 )
-from hybridchat.nncore import Parameter, Tensor, grad_check, layers, lstm_step, no_grad
+from hybridchat.nncore import (
+    Parameter,
+    Tensor,
+    grad_check,
+    layers,
+    load_checkpoint,
+    lstm_step,
+    no_grad,
+    save_checkpoint,
+)
 from hybridchat.nncore import autodiff as ad
 from hybridchat.textcore import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
@@ -30,7 +40,7 @@ from .test_nncore import interior_nodes, reference_lstm_step
 
 def gen_config(vocab, emb, hidden, use_facts=True, dropout=0.0):
     return GeneratorConfig(vocab, embedding_size=emb, hidden_size=hidden, num_layers=2,
-                           use_facts=use_facts, dropout=dropout, max_len=30)
+                           use_facts=use_facts, dropout=dropout)
 
 
 def train_config(**kwargs):
@@ -61,7 +71,7 @@ def fact_vectors(model, facts):
 def initial_state(model, ctx, facts):
     """Initial top-layer decoder state s0 of one example."""
     with no_grad():
-        _, _, states = _encode_for_decoding(model, make_batch([(ctx, facts, [EOS_ID])]))
+        _, _, states, _ = _encode_for_decoding(model, make_batch([(ctx, facts, [EOS_ID])]))
     return states[-1][0].data[0]
 
 
@@ -467,7 +477,7 @@ class TestEncoderEquivalence:
                                        err_msg=name_)
         with no_grad():
             _, ref_cols, ref_fbar = reference_nll_loss(model, batch)
-            e_cols, col_mask, _ = _encode_for_decoding(model, batch)
+            e_cols, col_mask, _, _ = _encode_for_decoding(model, batch)
         # padded context columns hold run-on states now; attention masks them
         real = col_mask.astype(bool)
         assert (e_cols.data[real] == ref_cols.data[real]).all()
@@ -758,6 +768,18 @@ class TestBeamSearch:
         want = reference_beam_search(model, [4, 5], [[4]], beam_size=50, max_len=6)
         assert got == want
 
+    @pytest.mark.parametrize("use_facts", [True, False])
+    def test_top_beam_score_equals_teacher_forced_nll(self, use_facts):
+        model = small_model(use_facts=use_facts, seed=9)
+        max_len = 6
+        facts = [[5], [7, 8]] if use_facts else None
+        ids, score = beam_search(model, [4, 6, 9], facts, beam_size=3, max_len=max_len)[0]
+        # a hypothesis shorter than max_len finished on EOS, which its score includes
+        target = ids + [EOS_ID] if len(ids) < max_len else ids
+        with no_grad():
+            loss, _ = nll_loss(model, make_batch([([4, 6, 9], facts or [], target)]))
+        assert score * len(target) == pytest.approx(-float(loss.data), rel=1e-9, abs=0.0)
+
     def test_scores_are_nonpositive(self):
         model = small_model(seed=41)
         for toks, score in beam_search(model, [4, 6], [[5]], beam_size=3, max_len=5):
@@ -817,6 +839,20 @@ class TestTrainGenerator:
 
         assert run() == run()
 
+    def test_checkpoint_pairs_best_parameters_with_their_step(self, tmp_path):
+        # learning rate 0: validation never improves after the first check
+        examples = self.toy_examples()
+        model = GeneratorModel(gen_config(14, 6, 6), np.random.default_rng(2))
+        tcfg = train_config(learning_rate=0.0, validate_every=2, batch_size=3,
+                            max_steps=6, seed=2)
+        path = str(tmp_path / "gen.ckpt")
+        log = train_generator(model, examples, examples, tcfg, vocab_hash="vh", ckpt_path=path)
+        assert (log.best_step, log.steps_run) == (2, 6)
+        blob = load_checkpoint(path)
+        assert blob["optimizer_state"]["t"] == log.best_step
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(blob["params"][name], p.data)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_aborts(self):
         examples = self.toy_examples()
@@ -837,6 +873,18 @@ class TestCheckpointing:
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, loaded.params[name].data)
         assert loaded.config == model.config
+
+    def test_config_with_retired_max_len_loads(self, tmp_path):
+        model = small_model(seed=44)
+        path = str(tmp_path / "old.ckpt")
+        config = {**asdict(model.config), "max_len": 30}
+        save_checkpoint(path, "generator", "vh", config,
+                        {name: p.data for name, p in model.params.items()})
+        loaded = GeneratorModel.load(path, expected_vocab_hash="vh")
+        assert loaded.config == model.config
+        assert loaded.params.keys() == model.params.keys()
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, loaded.params[name].data)
 
     def test_vocab_hash_mismatch_rejected(self, tmp_path):
         model = small_model()

@@ -43,7 +43,7 @@ TEST_SECTIONS = {
         "learning_rate": "0.002", "batch_size": "32",
         "steps_between_validation": "20", "max_steps": "60",
     },
-    "run": {"seed": "11", "beam_size": "3", "max_len": "12", "desk_scale": "true"},
+    "run": {"seed": "11", "beam_size": "3", "max_len": "12"},
 }
 
 
@@ -101,7 +101,7 @@ class TestConfig:
         parser.read_string(default_config_text(desk=True))
         cfg = PipelineConfig.from_sections(
             {s: dict(parser.items(s)) for s in parser.sections()})
-        assert cfg.desk_scale and cfg.gen_hidden_size == 64
+        assert cfg.gen_hidden_size == 64 and cfg.max_len == 15
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -143,15 +143,15 @@ class TestConfig:
     def test_golden_hashes_and_init_config_text(self):
         # values of the hand-mapped config that the field table replaced
         assert PipelineConfig.from_sections({}).config_hash() == (
-            "898f56e848aac96386444877882c622e7b5dbf5dc0c609794ecf441943c23834")
+            "446c360aae7b439e5f7d80bdf3d1a2a7a28f0be5d3cf65e5b3637a5aaf6a60a3")
         assert PipelineConfig.from_sections(DESK_OVERRIDES).config_hash() == (
-            "f717bedda4b23762c248ede4a9e8d921c1816ef4ab3d90321e088a069767d1bc")
+            "454aa67c0c0661105bdc8fef6d5b4288f4d66d795138154e8b886374cfae80d6")
         text_sha = {desk: hashlib.sha256(default_config_text(desk=desk).encode()).hexdigest()
                     for desk in (False, True)}
         assert text_sha[False] == (
-            "39669633947b189c95cd39d94a94d3690b91d18b5376b535043f2ac9706e117a")
+            "c71441a0c34cf7674c5793e3dc4e0c5fb33b011c84501591cf5c2a3859ede7f6")
         assert text_sha[True] == (
-            "e1b9fec1460992e2312cec3039f0fd6ff25a5e1630b8504256f65e9ad4d00e9e")
+            "a206aa2befe3a7d5cfa047dbe24f1aa6fd98f2d49db9832de0a73dfaf9511685")
 
 
 class TestSynthCorpus:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridchat.metrics import GENERATED, RETRIEVED
-from hybridchat.nncore import Tensor, grad_check, no_grad
+from hybridchat.nncore import Tensor, grad_check, load_checkpoint, no_grad
 from hybridchat.ranking import (
     Candidate,
     CandidateSet,
@@ -450,6 +450,22 @@ class TestTrainRanker:
 
         assert run(1e3) < run(0.0)
 
+    def test_checkpoint_pairs_best_parameters_with_their_step(self, tmp_path):
+        # learning rate 0: validation never improves after the first check
+        triples, tokens = separability_data(12, seed=7)
+        vocab = self.build_vocab(tokens)
+        model = tiny_model(vocab=len(vocab), seed=3)
+        tcfg = train_config(learning_rate=0.0, batch_size=4, validate_every=2,
+                            max_steps=6, seed=3)
+        path = str(tmp_path / "rank.ckpt")
+        log = train_ranker(model, triples, triples, vocab, tcfg, vocab_hash="vh",
+                           ckpt_path=path)
+        assert (log.best_step, log.steps_run) == (2, 6)
+        blob = load_checkpoint(path)
+        assert blob["optimizer_state"]["t"] == log.best_step
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(blob["params"][name], p.data)
+
     def test_bad_margin_and_l2_rejected(self):
         triples, tokens = separability_data(4, seed=7)
         vocab = self.build_vocab(tokens)
@@ -486,15 +502,3 @@ class TestRankerCheckpoint:
         with pytest.raises(ValueError, match="generator"):
             RankerModel.load(path)
 
-
-class TestPretrainedEmbeddings:
-    def test_glove_style_file_loads_with_fallback(self, tmp_path):
-        from hybridchat.nncore import load_pretrained_embeddings
-        path = tmp_path / "vectors.txt"
-        path.write_text("pizza 1.0 2.0 3.0\nnoodles -1.0 0.5 0.25\n")
-        tokens = ["<pad>", "<unk>", "<bos>", "<eos>", "pizza", "tacos", "noodles"]
-        table = load_pretrained_embeddings(tokens, str(path), 3, np.random.default_rng(0))
-        np.testing.assert_array_equal(table[4], [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(table[6], [-1.0, 0.5, 0.25])
-        assert np.all(table[0] == 0.0)            # PAD pinned to zero
-        assert np.any(table[5] != 0.0)            # OOV fallback is random
