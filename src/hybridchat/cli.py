@@ -21,6 +21,7 @@ from .generation import GeneratorModel, beam_search, train_generator
 from .metrics import count_picks, evaluate_run
 from .pipeline import (
     PipelineConfig,
+    _seed_streams,
     ablation_table_json,
     chat,
     default_config_text,
@@ -101,7 +102,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_train_generator(args) -> int:
-    cfg = PipelineConfig.from_file(args.config)
+    cfg = _load_config(args)
     if args.corpus:
         cfg.train_corpus = os.path.abspath(args.corpus)
     if args.facts is not None:
@@ -112,13 +113,14 @@ def cmd_train_generator(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     vocab.save(os.path.join(out_dir, "vocab.txt"))
-    seed = args.seed if args.seed is not None else cfg.seed
-    model = GeneratorModel(cfg.generator_config(len(vocab)), np.random.default_rng(seed))
+    seeds = _seed_streams(cfg.seed)
+    model = GeneratorModel(cfg.generator_config(len(vocab)),
+                           np.random.default_rng(seeds["generator_init"]))
     log = train_generator(
         model,
         encode_corpus(train, vocab, cfg.max_len),
         encode_corpus(valid, vocab, cfg.max_len),
-        cfg.generator_train_config(seed),
+        cfg.generator_train_config(seeds["generator_train"]),
         vocab_hash=vocab.sha256(),
         ckpt_path=args.out,
     )
@@ -163,17 +165,18 @@ def cmd_label(args) -> int:
 
 
 def cmd_train_ranker(args) -> int:
-    cfg = PipelineConfig.from_file(args.config)
+    cfg = _load_config(args)
     rows = _read_jsonl(args.triples, ("context", "positive", "negative"))
     triples = [TrainingTriple(tokenize(r["context"]), tokenize(r["positive"]),
                               tokenize(r["negative"])) for r in rows]
     vocab = _sibling_vocab(args.out, args.vocab)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seeds = _seed_streams(cfg.seed)
     n_valid = max(1, len(triples) // 10)
-    model = RankerModel(cfg.ranker_config(len(vocab)), np.random.default_rng(seed))
+    model = RankerModel(cfg.ranker_config(len(vocab)),
+                        np.random.default_rng(seeds["ranker_init"]))
     log = train_ranker(model, triples[n_valid:], triples[:n_valid], vocab,
-                       cfg.ranker_train_config(seed), vocab_hash=vocab.sha256(),
-                       ckpt_path=args.out)
+                       cfg.ranker_train_config(seeds["ranker_train"]),
+                       vocab_hash=vocab.sha256(), ckpt_path=args.out)
     print(f"trained {log.steps_run} steps; best pairwise accuracy "
           f"{log.best_accuracy:.4f} -> {args.out}")
     return 0

@@ -17,26 +17,15 @@ from BOS and a bridge-mapped encoder summary.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .nncore import autodiff as ad
-from .nncore import (
-    Adam,
-    Linear,
-    Model,
-    StackedLstm,
-    Tensor,
-    clip_global_norm,
-    init_uniform,
-    no_grad,
-)
-from .nncore.optim import EarlyStopping
+from .nncore import Linear, Model, StackedLstm, Tensor, init_uniform, no_grad
+from .nncore.optim import TrainLog, train_loop
 from .textcore import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
-logger = logging.getLogger(__name__)
 
 @dataclass
 class GeneratorConfig:
@@ -58,7 +47,6 @@ class GeneratorTrainConfig:
     patience: int
     batch_size: int
     max_steps: int
-    clip_norm: float = 5.0
     seed: int = 0
     target_ppl: float | None = None
 
@@ -394,14 +382,6 @@ def beam_search(model: GeneratorModel, ctx_ids: list[int], facts_ids: list[list[
 # -- training -------------------------------------------------------------------
 
 
-@dataclass
-class TrainLog:
-    history: list[dict] = field(default_factory=list)
-    best_metric: float = float("inf")
-    best_step: int = 0
-    steps_run: int = 0
-
-
 def perplexity(model: GeneratorModel, examples, batch_size: int = 64) -> float:
     """Per-token perplexity of encoded (ctx, facts, target) triples."""
     total_nll = 0.0
@@ -423,61 +403,20 @@ def train_generator(
     vocab_hash: str = "",
     ckpt_path: str | None = None,
 ) -> TrainLog:
-    """Adam training over shuffled mini-batches with validation-driven decay.
+    """train_loop on the teacher-forced NLL with clipped gradients.
 
-    Validates every tcfg.validate_every steps on per-token perplexity; the
-    best parameters are restored at the end.  With ckpt_path, each
-    improving validation writes its parameters and that step's optimizer
-    state there.  Raises RuntimeError on a non-finite loss.
+    Validates on per-token perplexity (of the training examples when there
+    are no validation examples), decays the learning rate by tcfg.lr_decay
+    on a miss, and stops early below tcfg.target_ppl.
     """
     if not train_examples:
         raise ValueError("no training examples")
-    seed_seq = np.random.SeedSequence(tcfg.seed)
-    shuffle_rng, dropout_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
-    opt = Adam(model.params, lr=tcfg.learning_rate)
-    stopper = EarlyStopping(tcfg.patience, tcfg.lr_decay)
-    log = TrainLog()
-    best_params = {k: p.data.copy() for k, p in model.params.items()}
 
-    order = shuffle_rng.permutation(len(train_examples))
-    cursor = 0
-    for step in range(1, tcfg.max_steps + 1):
-        if cursor >= len(order):
-            order = shuffle_rng.permutation(len(train_examples))
-            cursor = 0
-        picks = order[cursor: cursor + tcfg.batch_size]
-        cursor += tcfg.batch_size
+    def batch_loss(picks, rng):
         batch = make_batch([train_examples[i] for i in picks])
-        model.zero_grad()
-        loss, _ = nll_loss(model, batch, training=True, rng=dropout_rng)
-        if not np.isfinite(loss.data):
-            raise RuntimeError(f"training diverged: non-finite loss at step {step}")
-        loss.backward()
-        clip_global_norm(model.params, tcfg.clip_norm)
-        opt.step()
-        log.steps_run = step
-        if step % tcfg.validate_every == 0 or step == tcfg.max_steps:
-            ppl = perplexity(model, valid_examples or train_examples)
-            new_lr, should_stop, improved = stopper.update(ppl, opt.lr)
-            opt.lr = new_lr
-            log.history.append({
-                "step": step,
-                "train_loss": float(loss.data),
-                "valid_ppl": ppl,
-                "lr": opt.lr,
-            })
-            if improved:
-                log.best_metric = ppl
-                log.best_step = step
-                best_params = {k: p.data.copy() for k, p in model.params.items()}
-                if ckpt_path:
-                    model.save(ckpt_path, vocab_hash, opt)
-            if should_stop:
-                logger.info("early stopping at step %d (best ppl %.4f)", step, log.best_metric)
-                break
-            if tcfg.target_ppl is not None and ppl < tcfg.target_ppl:
-                logger.info("target perplexity reached at step %d (%.4f)", step, ppl)
-                break
-    for name, p in model.params.items():
-        p.data[...] = best_params[name]
-    return log
+        return nll_loss(model, batch, training=True, rng=rng)[0]
+
+    return train_loop(model, len(train_examples), tcfg, batch_loss,
+                      lambda: perplexity(model, valid_examples or train_examples), "valid_ppl",
+                      lr_decay=tcfg.lr_decay, target=tcfg.target_ppl, clip=True,
+                      vocab_hash=vocab_hash, ckpt_path=ckpt_path)

@@ -1,12 +1,19 @@
-"""Adam optimizer, gradient clipping, and finite-difference gradient checking."""
+"""Adam, gradient clipping, the shared training loop, and finite-difference gradient checking."""
 
 from __future__ import annotations
 
+import logging
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .autodiff import Parameter, Tensor
+
+logger = logging.getLogger(__name__)
+
+# Joint L2 bound on the gradients of a clipped training step.
+CLIP_NORM = 5.0
 
 
 class Adam:
@@ -95,7 +102,7 @@ class EarlyStopping:
         return lr * self.decay, self.bad_count >= self.patience, False
 
 
-def clip_global_norm(params: dict[str, Parameter], max_norm: float = 5.0) -> float:
+def clip_global_norm(params: dict[str, Parameter], max_norm: float = CLIP_NORM) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm."""
     total = 0.0
     for p in params.values():
@@ -108,6 +115,88 @@ def clip_global_norm(params: dict[str, Parameter], max_norm: float = 5.0) -> flo
             if p.grad is not None:
                 p.grad *= scale
     return norm
+
+
+@dataclass
+class TrainLog:
+    """One history row per validation, and the best validation's metric and step."""
+
+    history: list[dict] = field(default_factory=list)
+    best_metric: float = float("inf")
+    best_step: int = 0
+    steps_run: int = 0
+
+    @property
+    def best_accuracy(self) -> float:
+        """The ranker's best pairwise accuracy; 0.0 before any validation improved."""
+        return self.best_metric if self.best_step else 0.0
+
+
+def train_loop(model, n_examples: int, tcfg,
+               batch_loss: Callable[[np.ndarray, np.random.Generator], Tensor],
+               validate: Callable[[], float], metric: str, *, lr_decay: float,
+               target: float | None = None, maximize: bool = False, clip: bool = False,
+               vocab_hash: str = "", ckpt_path: str | None = None) -> TrainLog:
+    """Adam over shuffled mini-batches with validation-driven decay and early stop.
+
+    tcfg supplies learning_rate, batch_size, max_steps, validate_every,
+    patience and seed.  Each epoch visits a fresh permutation of the
+    n_examples indices in slices of batch_size (the last slice may be
+    short); batch_loss(picks, dropout_rng) builds the loss of one slice.
+    With clip, gradients are clipped to CLIP_NORM before each Adam step.
+    Every validate_every steps and at the last step, validate() gives the
+    metric (maximised when maximize is set), logged under `metric`; a miss
+    multiplies the learning rate by lr_decay, patience misses in a row stop
+    the run, and so does reaching target.  The best parameters are restored
+    at the end; with ckpt_path, each improving validation writes its
+    parameters and that step's optimizer state there.  Raises RuntimeError
+    on a non-finite loss.
+    """
+    seed_seq = np.random.SeedSequence(tcfg.seed)
+    shuffle_rng, dropout_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
+    opt = Adam(model.params, lr=tcfg.learning_rate)
+    stopper = EarlyStopping(tcfg.patience, lr_decay)
+    log = TrainLog()
+    best_params = {k: p.data.copy() for k, p in model.params.items()}
+
+    order = shuffle_rng.permutation(n_examples)
+    cursor = 0
+    for step in range(1, tcfg.max_steps + 1):
+        if cursor >= n_examples:
+            order = shuffle_rng.permutation(n_examples)
+            cursor = 0
+        picks = order[cursor: cursor + tcfg.batch_size]
+        cursor += tcfg.batch_size
+        model.zero_grad()
+        loss = batch_loss(picks, dropout_rng)
+        if not np.isfinite(loss.data):
+            raise RuntimeError(f"training diverged: non-finite loss at step {step}")
+        loss.backward()
+        if clip:
+            clip_global_norm(model.params)
+        opt.step()
+        log.steps_run = step
+        if step % tcfg.validate_every == 0 or step == tcfg.max_steps:
+            value = validate()
+            opt.lr, should_stop, improved = stopper.update(-value if maximize else value, opt.lr)
+            log.history.append({"step": step, "train_loss": float(loss.data),
+                                metric: value, "lr": opt.lr})
+            if improved:
+                log.best_metric = value
+                log.best_step = step
+                best_params = {k: p.data.copy() for k, p in model.params.items()}
+                if ckpt_path:
+                    model.save(ckpt_path, vocab_hash, opt)
+            if should_stop:
+                logger.info("early stop at step %d (best %s %.4f)", step, metric,
+                            log.best_metric)
+                break
+            if target is not None and (value >= target if maximize else value < target):
+                logger.info("target %s reached at step %d (%.4f)", metric, step, value)
+                break
+    for name, p in model.params.items():
+        p.data[...] = best_params[name]
+    return log
 
 
 def grad_check(

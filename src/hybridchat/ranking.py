@@ -11,14 +11,14 @@ candidates above negative ones.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import GENERATED, RETRIEVED, SIGNALS
 from .nncore import autodiff as ad
-from .nncore import Adam, Linear, Model, Tensor, init_uniform, no_grad
-from .nncore.optim import EarlyStopping
+from .nncore import Linear, Model, Tensor, init_uniform, no_grad
+from .nncore.optim import TrainLog, train_loop
 from .textcore import PAD_ID, Vocabulary, encode
 
 logger = logging.getLogger(__name__)
@@ -287,14 +287,6 @@ def rerank(model: RankerModel, vocab: Vocabulary, pool: CandidateSet) -> RankedP
 # -- training --------------------------------------------------------------------
 
 
-@dataclass
-class RankerTrainLog:
-    history: list[dict] = field(default_factory=list)
-    best_accuracy: float = 0.0
-    best_step: int = 0
-    steps_run: int = 0
-
-
 def encode_triples(triples: list[TrainingTriple], vocab: Vocabulary, size: int):
     """Triples -> (ctx, pos, neg) id arrays of shape (N, size)."""
     ctx = np.stack([pad_ids(encode(t.context, vocab, max_len=size), size) for t in triples])
@@ -324,13 +316,13 @@ def train_ranker(
     tcfg: RankerTrainConfig,
     vocab_hash: str = "",
     ckpt_path: str | None = None,
-) -> RankerTrainLog:
-    """Adam on the pairwise hinge objective with accuracy-based early stopping.
+) -> TrainLog:
+    """train_loop on the pairwise hinge objective, without clipping.
 
-    Dropout is applied to the MLP input during training only.  The best
-    parameters by held-out pairwise accuracy are restored at the end; with
-    ckpt_path, each improving validation writes its parameters and that
-    step's optimizer state there.
+    Validates on held-out pairwise accuracy (maximised; of the training
+    triples when there are no held-out ones), halves the learning rate on
+    a miss, and stops early at tcfg.target_accuracy.  Dropout is applied
+    to the MLP input during training only.
     """
     if not triples:
         raise ValueError("no training triples")
@@ -341,55 +333,14 @@ def train_ranker(
     size = model.config.matrix_size
     train_arrays = encode_triples(triples, vocab, size)
     valid_arrays = encode_triples(valid_triples or triples, vocab, size)
-    seed_seq = np.random.SeedSequence(tcfg.seed)
-    shuffle_rng, dropout_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
-    opt = Adam(model.params, lr=tcfg.learning_rate)
-    stopper = EarlyStopping(tcfg.patience, decay=0.5)
-    log = RankerTrainLog()
-    best_params = {k: p.data.copy() for k, p in model.params.items()}
 
-    n = train_arrays[0].shape[0]
-    order = shuffle_rng.permutation(n)
-    cursor = 0
-    for step in range(1, tcfg.max_steps + 1):
-        if cursor >= n:
-            order = shuffle_rng.permutation(n)
-            cursor = 0
-        picks = order[cursor: cursor + tcfg.batch_size]
-        cursor += tcfg.batch_size
+    def batch_loss(picks, rng):
         ctx, pos, neg = (a[picks] for a in train_arrays)
-        model.zero_grad()
-        sp = score_batch(model, ctx, pos, training=True, rng=dropout_rng)
-        sn = score_batch(model, ctx, neg, training=True, rng=dropout_rng)
-        loss = hinge_loss(sp, sn, tcfg.margin, tcfg.l2_coeff, model.params)
-        if not np.isfinite(loss.data):
-            raise RuntimeError(f"ranker training diverged: non-finite loss at step {step}")
-        loss.backward()
-        opt.step()
-        log.steps_run = step
-        if step % tcfg.validate_every == 0 or step == tcfg.max_steps:
-            acc = pairwise_accuracy(model, valid_arrays)
-            new_lr, should_stop, improved = stopper.update(1.0 - acc, opt.lr)
-            opt.lr = new_lr
-            log.history.append({
-                "step": step,
-                "train_loss": float(loss.data),
-                "valid_accuracy": acc,
-                "lr": opt.lr,
-            })
-            if improved:
-                log.best_accuracy = acc
-                log.best_step = step
-                best_params = {k: p.data.copy() for k, p in model.params.items()}
-                if ckpt_path:
-                    model.save(ckpt_path, vocab_hash, opt)
-            if should_stop:
-                logger.info("ranker early stop at step %d (best acc %.4f)", step,
-                            log.best_accuracy)
-                break
-            if tcfg.target_accuracy is not None and acc >= tcfg.target_accuracy:
-                logger.info("ranker target accuracy reached at step %d (%.4f)", step, acc)
-                break
-    for name, p in model.params.items():
-        p.data[...] = best_params[name]
-    return log
+        sp = score_batch(model, ctx, pos, training=True, rng=rng)
+        sn = score_batch(model, ctx, neg, training=True, rng=rng)
+        return hinge_loss(sp, sn, tcfg.margin, tcfg.l2_coeff, model.params)
+
+    return train_loop(model, len(triples), tcfg, batch_loss,
+                      lambda: pairwise_accuracy(model, valid_arrays), "valid_accuracy",
+                      lr_decay=0.5, target=tcfg.target_accuracy, maximize=True,
+                      vocab_hash=vocab_hash, ckpt_path=ckpt_path)

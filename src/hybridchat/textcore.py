@@ -46,15 +46,13 @@ class Vocabulary:
     and safe to share across threads.
     """
 
-    def __init__(self, tokens: list[str], max_size: int = 0, min_count: int = 1):
+    def __init__(self, tokens: list[str]):
         if tuple(tokens[:4]) != RESERVED_TOKENS:
             tokens = list(RESERVED_TOKENS) + list(tokens)
         self.id_to_token: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
-        self.max_size = max_size
-        self.min_count = min_count
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -89,7 +87,7 @@ class Vocabulary:
         )
         if max_size:
             ranked = ranked[:max_size]
-        return cls(list(RESERVED_TOKENS) + ranked, max_size=max_size, min_count=min_count)
+        return cls(list(RESERVED_TOKENS) + ranked)
 
     def sha256(self) -> str:
         """Hash of the ordered token list; checkpoints pin this."""

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from hybridchat.cli import main
@@ -153,6 +154,14 @@ class TestPipelineCommands:
                      "--out", out]) == 0
         assert os.path.exists(out)
         assert "best valid ppl" in capsys.readouterr().out
+
+    def test_train_generator_matches_the_run_generator(self, env, tmp_path):
+        # both draw model init and training from the config seed's named streams
+        out = str(tmp_path / "gen-env.ckpt")
+        assert main(["train-generator", "--config", env["cfg_path"], "--out", out]) == 0
+        trained = GeneratorModel.load(out).params
+        for name, p in env["artifacts"].generator.params.items():
+            assert np.array_equal(trained[name].data, p.data), name
 
     def test_train_generator_keeps_config_facts_off(self, tmp_path):
         out = str(tmp_path / "gen3.ckpt")

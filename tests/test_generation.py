@@ -7,7 +7,6 @@ import pytest
 
 from hybridchat.generation import (
     DecodingSession,
-    EarlyStopping,
     GeneratorConfig,
     GeneratorModel,
     GeneratorTrainConfig,
@@ -33,6 +32,7 @@ from hybridchat.nncore import (
     save_checkpoint,
 )
 from hybridchat.nncore import autodiff as ad
+from hybridchat.nncore.optim import EarlyStopping
 from hybridchat.textcore import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 from .test_nncore import interior_nodes, reference_lstm_step

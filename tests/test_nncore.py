@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hybridchat.nncore import (
     lstm_step,
     save_checkpoint,
 )
+from hybridchat.nncore.optim import train_loop
 
 
 def tape_softmax(v):
@@ -489,6 +491,27 @@ class TestClipGlobalNorm:
         p.grad = np.array([0.1, 0.1])
         clip_global_norm({"a": p}, max_norm=5.0)
         np.testing.assert_array_equal(p.grad, [0.1, 0.1])
+
+
+class TestTrainLoop:
+    def test_each_epoch_walks_a_fresh_permutation_in_batch_slices(self):
+        model = Model()
+        w = model.add_param("w", np.ones(1))
+        taken = []
+
+        def batch_loss(picks, rng):
+            taken.append(picks.tolist())
+            return ad.sum_(w * w)
+
+        tcfg = SimpleNamespace(learning_rate=1e-3, batch_size=4, max_steps=6,
+                               validate_every=6, patience=1, seed=0)
+        log = train_loop(model, 10, tcfg, batch_loss, lambda: 1.0, "metric", lr_decay=0.5)
+        assert log.steps_run == 6
+        assert [len(p) for p in taken] == [4, 4, 2, 4, 4, 2]
+        epochs = [sum(taken[:3], []), sum(taken[3:], [])]
+        for picks in epochs:
+            assert sorted(picks) == list(range(10))
+        assert epochs[0] != epochs[1]
 
 
 def small_checkpoint_bytes(tmp_path):
