@@ -15,24 +15,23 @@ import logging
 import os
 import sys
 
-import numpy as np
-
-from .generation import GeneratorModel, beam_search, train_generator
-from .metrics import count_picks, evaluate_run
+from .generation import GeneratorModel, beam_search
+from .metrics import SIGNALS, count_picks, evaluate_run
 from .pipeline import (
+    ABLATION_AXES,
     PipelineConfig,
-    _seed_streams,
     ablation_table_json,
+    build_generator,
+    build_ranker,
     chat,
     default_config_text,
-    encode_corpus,
     pools_to_triples,
     prepare_artifacts,
     read_candidates_jsonl,
     run_ablation,
     run_pipeline,
 )
-from .ranking import RankerModel, SupervisionConfig, TrainingTriple, rerank, train_ranker
+from .ranking import RankerModel, SupervisionConfig, TrainingTriple, rerank
 from .retrieval import RepositoryIndex, build_index, retrieve
 from .textcore import (
     Vocabulary,
@@ -113,17 +112,7 @@ def cmd_train_generator(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     vocab.save(os.path.join(out_dir, "vocab.txt"))
-    seeds = _seed_streams(cfg.seed)
-    model = GeneratorModel(cfg.generator_config(len(vocab)),
-                           np.random.default_rng(seeds["generator_init"]))
-    log = train_generator(
-        model,
-        encode_corpus(train, vocab, cfg.max_len),
-        encode_corpus(valid, vocab, cfg.max_len),
-        cfg.generator_train_config(seeds["generator_train"]),
-        vocab_hash=vocab.sha256(),
-        ckpt_path=args.out,
-    )
+    _, log = build_generator(cfg, vocab, train, valid, ckpt_path=args.out)
     print(f"trained {log.steps_run} steps; best valid ppl {log.best_metric:.4f} -> {args.out}")
     return 0
 
@@ -170,13 +159,8 @@ def cmd_train_ranker(args) -> int:
     triples = [TrainingTriple(tokenize(r["context"]), tokenize(r["positive"]),
                               tokenize(r["negative"])) for r in rows]
     vocab = _sibling_vocab(args.out, args.vocab)
-    seeds = _seed_streams(cfg.seed)
     n_valid = max(1, len(triples) // 10)
-    model = RankerModel(cfg.ranker_config(len(vocab)),
-                        np.random.default_rng(seeds["ranker_init"]))
-    log = train_ranker(model, triples[n_valid:], triples[:n_valid], vocab,
-                       cfg.ranker_train_config(seeds["ranker_train"]),
-                       vocab_hash=vocab.sha256(), ckpt_path=args.out)
+    _, log = build_ranker(cfg, vocab, triples[n_valid:], triples[:n_valid], ckpt_path=args.out)
     print(f"trained {log.steps_run} steps; best pairwise accuracy "
           f"{log.best_accuracy:.4f} -> {args.out}")
     return 0
@@ -308,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="distant-supervision labels -> training triples")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--signal", choices=("bleu1", "bleu2", "rougel", "sentbleu"),
-                   default=PipelineConfig.signal)
+    p.add_argument("--signal", choices=tuple(SIGNALS), default=PipelineConfig.signal)
     p.add_argument("--kprime", type=int, default=PipelineConfig.k_prime)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_label)
@@ -343,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="supervision-signal or k' ablation table")
     p.add_argument("--config", required=True)
-    p.add_argument("--axis", choices=("signal", "kprime"), required=True)
+    p.add_argument("--axis", choices=tuple(ABLATION_AXES), required=True)
     p.add_argument("--out", help="write the table JSON here")
     p.add_argument("--retrain", action="store_true")
     p.set_defaults(fn=cmd_ablate)

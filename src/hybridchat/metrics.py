@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
@@ -147,7 +147,6 @@ class MetricReport:
     picked_ret: int = 0
     picked_top1_bm25: int = 0
     selection_recorded: bool = False
-    per_example_rouge: list = field(default_factory=list)
 
     def validate(self) -> None:
         if not 0.0 <= self.bleu <= 100.0:
@@ -217,7 +216,6 @@ def evaluate_run(
         distinct2=distinct_n(outputs, 2),
         n_examples=len(outputs),
         selection_recorded=provenance is not None,
-        per_example_rouge=per_rouge,
         **picks,
     )
     report.validate()

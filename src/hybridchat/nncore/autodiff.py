@@ -89,13 +89,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.grad is not None else 'no'})"
 
@@ -164,14 +157,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division not supported; multiply by a reciprocal")
-        return mul(self, _wrap(1.0 / other))
 
 
 class Parameter(Tensor):

@@ -28,8 +28,9 @@ from .generation import (
     beam_search,
     train_generator,
 )
-from .metrics import GENERATED, RETRIEVED, MetricReport, evaluate_run
+from .metrics import GENERATED, RETRIEVED, SIGNALS, MetricReport, evaluate_run
 from .nncore.checkpoint import file_sha256
+from .nncore.optim import TrainLog
 from .ranking import (
     Candidate,
     CandidateSet,
@@ -388,6 +389,36 @@ def choose_response(artifacts: Artifacts, pool: CandidateSet, cfg: PipelineConfi
 # -- artifact preparation --------------------------------------------------------
 
 
+def build_generator(cfg: PipelineConfig, vocab: Vocabulary, train: Corpus, valid: Corpus,
+                    ckpt_path: str | None = None) -> tuple[GeneratorModel, TrainLog]:
+    """Init the generator from the seed's named streams and train it."""
+    seeds = _seed_streams(cfg.seed)
+    model = GeneratorModel(cfg.generator_config(len(vocab)),
+                           np.random.default_rng(seeds["generator_init"]))
+    log = train_generator(
+        model,
+        encode_corpus(train, vocab, cfg.max_len),
+        encode_corpus(valid, vocab, cfg.max_len),
+        cfg.generator_train_config(seeds["generator_train"]),
+        vocab_hash=vocab.sha256(),
+        ckpt_path=ckpt_path,
+    )
+    return model, log
+
+
+def build_ranker(cfg: PipelineConfig, vocab: Vocabulary, triples: list[TrainingTriple],
+                 valid_triples: list[TrainingTriple],
+                 ckpt_path: str | None = None) -> tuple[RankerModel, TrainLog]:
+    """Init the ranker from the seed's named streams and train it."""
+    seeds = _seed_streams(cfg.seed)
+    model = RankerModel(cfg.ranker_config(len(vocab)),
+                        np.random.default_rng(seeds["ranker_init"]))
+    log = train_ranker(model, triples, valid_triples, vocab,
+                       cfg.ranker_train_config(seeds["ranker_train"]),
+                       vocab_hash=vocab.sha256(), ckpt_path=ckpt_path)
+    return model, log
+
+
 def prepare_artifacts(cfg: PipelineConfig, retrain: bool = False,
                       timings: dict | None = None) -> tuple[Artifacts, dict[str, Corpus]]:
     """Build or load vocabulary, index, generator, and ranker.
@@ -401,58 +432,38 @@ def prepare_artifacts(cfg: PipelineConfig, retrain: bool = False,
         "valid": load_corpus(cfg.valid_corpus, "valid"),
         "test": load_corpus(cfg.test_corpus, "test"),
     }
-    seeds = _seed_streams(cfg.seed)
 
-    t = time.perf_counter()
-    if not retrain and os.path.exists(cfg.vocab_path):
-        vocab = Vocabulary.load(cfg.vocab_path)
-    else:
-        vocab = Vocabulary.build(corpora["train"], cfg.vocab_max_size, cfg.vocab_min_count)
-        vocab.save(cfg.vocab_path)
-    timings["vocab"] = time.perf_counter() - t
+    def stage(name: str, path: str, load, build, save: bool = False):
+        """Load `path` if it may be reused, else build it; `save` writes what no trainer wrote."""
+        t = time.perf_counter()
+        if not retrain and os.path.exists(path):
+            value = load(path)
+        else:
+            value = build()
+            if save:
+                value.save(path)
+        timings[name] = time.perf_counter() - t
+        return value
 
-    t = time.perf_counter()
-    if not retrain and os.path.exists(cfg.index_path):
-        index = RepositoryIndex.load(cfg.index_path)
-    else:
-        pairs = [(ex.context, ex.response) for ex in corpora["train"]]
-        index = build_index(pairs, k1=cfg.bm25_k1, b=cfg.bm25_b)
-        index.save(cfg.index_path)
-    timings["index"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    if not retrain and os.path.exists(cfg.generator_ckpt):
-        generator = GeneratorModel.load(cfg.generator_ckpt, vocab.sha256())
-    else:
-        generator = GeneratorModel(cfg.generator_config(len(vocab)),
-                                   np.random.default_rng(seeds["generator_init"]))
-        train_generator(
-            generator,
-            encode_corpus(corpora["train"], vocab, cfg.max_len),
-            encode_corpus(corpora["valid"], vocab, cfg.max_len),
-            cfg.generator_train_config(seeds["generator_train"]),
-            vocab_hash=vocab.sha256(),
-            ckpt_path=cfg.generator_ckpt,
-        )
-    timings["generator"] = time.perf_counter() - t
-
-    artifacts = Artifacts(vocab=vocab, index=index, generator=generator)
-
-    t = time.perf_counter()
-    if not retrain and os.path.exists(cfg.ranker_ckpt):
-        artifacts.ranker = RankerModel.load(cfg.ranker_ckpt, vocab.sha256())
-    else:
+    def ranker_from_pools() -> RankerModel:
         sup = cfg.supervision_config()
-        train_triples = corpus_triples(artifacts, corpora["train"], cfg, sup)
-        valid_triples = corpus_triples(artifacts, corpora["valid"], cfg, sup)
-        artifacts.ranker = RankerModel(cfg.ranker_config(len(vocab)),
-                                       np.random.default_rng(seeds["ranker_init"]))
-        train_ranker(
-            artifacts.ranker, train_triples, valid_triples, vocab,
-            cfg.ranker_train_config(seeds["ranker_train"]),
-            vocab_hash=vocab.sha256(), ckpt_path=cfg.ranker_ckpt,
-        )
-    timings["ranker"] = time.perf_counter() - t
+        return build_ranker(cfg, vocab, corpus_triples(artifacts, corpora["train"], cfg, sup),
+                            corpus_triples(artifacts, corpora["valid"], cfg, sup),
+                            cfg.ranker_ckpt)[0]
+
+    vocab = stage("vocab", cfg.vocab_path, Vocabulary.load, lambda: Vocabulary.build(
+        corpora["train"], cfg.vocab_max_size, cfg.vocab_min_count), save=True)
+    index = stage("index", cfg.index_path, RepositoryIndex.load, lambda: build_index(
+        [(ex.context, ex.response) for ex in corpora["train"]], k1=cfg.bm25_k1, b=cfg.bm25_b),
+        save=True)
+    generator = stage(
+        "generator", cfg.generator_ckpt, lambda path: GeneratorModel.load(path, vocab.sha256()),
+        lambda: build_generator(cfg, vocab, corpora["train"], corpora["valid"],
+                                cfg.generator_ckpt)[0])
+    artifacts = Artifacts(vocab=vocab, index=index, generator=generator)
+    artifacts.ranker = stage("ranker", cfg.ranker_ckpt,
+                             lambda path: RankerModel.load(path, vocab.sha256()),
+                             ranker_from_pools)
     return artifacts, corpora
 
 
@@ -529,8 +540,11 @@ def run_pipeline(cfg: PipelineConfig, retrain: bool = False) -> RunManifest:
     )
 
 
-ABLATION_SIGNALS = ("bleu1", "bleu2", "rougel", "sentbleu")
-ABLATION_KPRIMES = (1, 2, 3)
+# axis name -> (SupervisionConfig field, the values one row each tries)
+ABLATION_AXES = {
+    "signal": ("signal", tuple(SIGNALS)),
+    "kprime": ("k_prime", (1, 2, 3)),
+}
 
 
 @dataclass
@@ -547,30 +561,22 @@ def run_ablation(cfg: PipelineConfig, axis: str, retrain: bool = False) -> list[
     "kprime" varies positives per context (3 rows).  A failed cycle yields
     an error marker row instead of aborting the table.
     """
-    if axis == "signal":
-        settings = [("signal", s) for s in ABLATION_SIGNALS]
-    elif axis == "kprime":
-        settings = [("k_prime", k) for k in ABLATION_KPRIMES]
-    else:
-        raise ValueError(f"unknown ablation axis {axis!r} (use 'signal' or 'kprime')")
+    if axis not in ABLATION_AXES:
+        raise ValueError(f"unknown ablation axis {axis!r} (use one of {list(ABLATION_AXES)})")
+    key, values = ABLATION_AXES[axis]
 
     artifacts, corpora = prepare_artifacts(cfg, retrain=retrain)
     train_pools = corpus_pools(artifacts, corpora["train"], cfg)
     valid_pools = corpus_pools(artifacts, corpora["valid"], cfg)
     test_pools = corpus_pools(artifacts, corpora["test"], cfg)
-    seeds = _seed_streams(cfg.seed)
 
     rows = []
-    for key, value in settings:
+    for value in values:
         name = f"{key}={value}"
         try:
             sup = replace(cfg.supervision_config(), **{key: value})
-            train_triples = pools_to_triples(train_pools, sup)
-            valid_triples = pools_to_triples(valid_pools, sup)
-            ranker = RankerModel(cfg.ranker_config(len(artifacts.vocab)),
-                                 np.random.default_rng(seeds["ranker_init"]))
-            train_ranker(ranker, train_triples, valid_triples, artifacts.vocab,
-                         cfg.ranker_train_config(seeds["ranker_train"]))
+            ranker, _ = build_ranker(cfg, artifacts.vocab, pools_to_triples(train_pools, sup),
+                                     pools_to_triples(valid_pools, sup))
             scoped = Artifacts(artifacts.vocab, artifacts.index, artifacts.generator, ranker)
             report, _, _ = evaluate_corpus(scoped, corpora["test"], cfg, pools=test_pools)
             report.validate()

@@ -264,6 +264,11 @@ class TestAblation:
             assert row.error is None, row.error
             row.report.validate()
             assert row.report.picked_gen + row.report.picked_ret == row.report.n_examples
+        # the row at the config's k' trains the ranker `run` trained, and the axis matters
+        run_report = env["manifest"].report.to_dict()
+        same = [r for r in rows if r.setting == f"k_prime={cfg.k_prime}"]
+        assert len(same) == 1 and same[0].report.to_dict() == run_report
+        assert any(r.report.to_dict() != run_report for r in rows if r is not same[0])
 
     def test_signal_axis_error_rows_are_isolated(self, env):
         cfg = PipelineConfig.from_file(env["cfg_path"])
